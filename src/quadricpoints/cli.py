@@ -40,7 +40,7 @@ from .formulas import (
     morphism_count,
     morphism_count_from_counts,
 )
-from .oracle import BudgetExceeded, brute_count, brute_morphism_count, brute_primitive_count, convolution_count
+from .oracle import BudgetExceeded, brute_count, brute_primitive_count, convolution_count, morphisms_from_primitive
 from .verify import SUITES
 
 SCHEMA_VERSION = 1
@@ -249,7 +249,7 @@ def _table_row(spec: JobSpec, P: int, method: str) -> dict:
     if method == "brute":
         n_val = brute_count(f, P, spec.budget)
         prim = brute_primitive_count(f, P, spec.budget)
-        mor = brute_morphism_count(f, P, spec.budget)
+        mor = morphisms_from_primitive(brute_primitive_count(f, P + 1, spec.budget), prim)
     else:
         n_val = _count_by(method, f, P, spec.budget)
         below = _count_by(method, f, P - 1, spec.budget)
@@ -374,6 +374,8 @@ def _apply_q_flag(args) -> None:
     if args.p is not None:
         raise UsageError("give either --q or --p/--nu, not both")
     q = args.q
+    if q < 3:
+        raise UsageError(f"--q must be an odd prime power, got {q}")
     d = 2
     while d * d <= q:
         if q % d == 0:

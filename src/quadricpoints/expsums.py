@@ -206,7 +206,8 @@ def form_exp_sum(f: QuadForm, a: Poly, r: Poly) -> CycInt:
             k -= 1
         if k < 0:
             break
-    assert sum(counts) == total
+    if sum(counts) != total:
+        raise RuntimeError("the odometer missed residue tuples")
     return CycInt.from_exponent_counts(p, counts)
 
 

@@ -3,36 +3,49 @@
 ``brute_count`` touches every coordinate tuple in the height box; it is
 the ground truth the rest of the library is validated against, and it
 refuses jobs above an evaluation budget.  ``convolution_count`` is the
-big-box substitute: it convolves per-variable value histograms over the
-additive group of truncated polynomials, exactly, in integer arithmetic
-(no FFTs; exactness matters more than speed at this scale).
+big-box substitute.  Values live in F_q[t]/t^(2P-1): under the base-p
+digits of the coefficient encodings, the group (Z/p)^K, K = (2P-1) nu,
+added digit by digit, with elements encoded below G = q^(2P-1).
 
-Both paths work with integer encodings of the value group
-F_q[t] / t^(2P-1): a polynomial value maps to the base-q integer of its
-coefficient digits, and digitwise F_q addition drives everything.
+* Convolution: the mass at 0 is G^-1 sum_xi prod_i H_i^(xi), with H_i^
+  the length-p Fourier transform of variable i's value histogram along
+  each axis, taken exactly modulo primes l = 1 (mod p) and recovered by
+  CRT.  It raises unless the moduli multiply past the box size q^(nP)
+  and p (l - 1)^2 < 2^63, so no int64 sum of p products overflows.
+* Brute force: the sums of the first n - 2 coordinates are formed in
+  chunks of ``_CHUNK`` tuples and looked up in the histogram of the
+  q^(2P) sums of the last pair.
+* Primitivity: each box element has a bitmask of its monic irreducible
+  divisors of degree <= P - 1 (zero has every bit); a tuple has gcd 1
+  iff its masks AND to 0.  A sieve builds them: in ascending degree, a
+  monic element no smaller irreducible divides is irreducible and marks
+  its multiples pi * g.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import numpy as np
 
 from .expsums import QuadForm
-from .polyring import Poly, enumerate_below, poly_gcd
+from .field import FieldCtx, is_prime
 
 DEFAULT_BUDGET = 10**8
 
 #: Hard cap on the value-group size q^(2P-1) for the convolution path.
 CONVOLUTION_STATE_CAP = 2_000_000
 
-#: Build the full subtraction table when the group is at most this large.
-_SUB_TABLE_CAP = 4096
+#: Tuples per streamed chunk on the brute paths.
+_CHUNK = 1 << 12
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when an enumeration would exceed its evaluation budget."""
 
 
-def _check_budget(f: QuadForm, P: int, budget: int) -> int:
+def _check_budget(f: QuadForm, P: int, budget: int) -> None:
     total = f.ctx.q ** (f.n * P)
     if total > budget:
         raise BudgetExceeded(
@@ -41,101 +54,107 @@ def _check_budget(f: QuadForm, P: int, budget: int) -> int:
         )
     if total >= 2**62:
         raise BudgetExceeded("count could overflow 64-bit accumulators")
-    return total
 
 
-def _box_values(f: QuadForm, P: int):
-    """Per-variable encodings of a_i * x^2 over the box, plus shared tables.
+def _digits(v, base: int, width: int) -> np.ndarray:
+    """Little-endian base-``base`` digits of v along a new last axis."""
+    return v[..., None] // base ** np.arange(width) % base
 
-    Returns (xs, vals_enc, vals_digits, fq_add, fq_neg, m).  Encodings
-    index the value group F_q[t]/t^m with m = 2P - 1; digits are little
-    endian base q.
-    """
+
+def _undigits(d: np.ndarray, base: int) -> np.ndarray:
+    return d @ base ** np.arange(d.shape[-1])
+
+
+def _fq_mul(ctx: FieldCtx):
+    """Elementwise product of F_q encoding arrays."""
+    if ctx.nu == 1:
+        return lambda a, b: a * b % ctx.p
+    table = np.array([[ctx.mul(a, b) for b in range(ctx.q)] for a in range(ctx.q)])
+    return lambda a, b: table[a, b]
+
+
+def _poly_mul(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Products over F_q of coefficient arrays (last axis, little endian)."""
+    mul, da, db = _fq_mul(ctx), A.shape[-1], B.shape[-1]
+    shape = np.broadcast_shapes(A.shape[:-1], B.shape[:-1]) + (da + db - 1, ctx.nu)
+    out = np.zeros(shape, dtype=np.int64)
+    for i in range(da):
+        out[..., i : i + db, :] += _digits(mul(A[..., i : i + 1], B), ctx.p, ctx.nu)
+    return _undigits(out % ctx.p, ctx.p)
+
+
+def _box_values(f: QuadForm, P: int) -> dict:
+    """Per distinct coefficient a, the group digits (q^P, K) of a x^2, x the
+    box polynomial with encoding equal to the row."""
     ctx = f.ctx
-    q = ctx.q
-    m = 2 * P - 1
-    xs = list(enumerate_below(ctx, P))
-    fq_add = [[ctx.add(a, b) for b in range(q)] for a in range(q)]
-    fq_neg = [ctx.neg(a) for a in range(q)]
-    vals_enc = []
-    vals_digits = []
-    for ai in f.coeffs:
-        encs = np.empty(len(xs), dtype=np.int64)
-        digits = []
-        for pos, x in enumerate(xs):
-            v = (x * x).scale(ai)
-            d = tuple(v.coeff(j) for j in range(m))
-            digits.append(d)
-            enc = 0
-            for j in range(m - 1, -1, -1):
-                enc = enc * q + d[j]
-            encs[pos] = enc
-        vals_enc.append(encs)
-        vals_digits.append(digits)
-    return xs, vals_enc, vals_digits, fq_add, fq_neg, m
+    box = _digits(np.arange(ctx.q**P), ctx.q, P)
+    squares, mul = _poly_mul(ctx, box, box), _fq_mul(ctx)
+    return {a: _digits(mul(a, squares), ctx.p, ctx.nu).reshape(len(box), -1) for a in set(f.coeffs)}
 
 
-def _pair_table(enc_a: np.ndarray, enc_b: np.ndarray, q: int, m: int, fq_add_np):
-    """Encoded group sums of every (x_{n-1}, x_n) value pair, flattened."""
-    out = np.zeros((enc_a.size, enc_b.size), dtype=np.int64)
-    pw = 1
-    for j in range(m):
-        da = (enc_a // pw) % q
-        db = (enc_b // pw) % q
-        out += fq_add_np[da[:, None], db[None, :]] * pw
-        pw *= q
-    return out.ravel()
+def _tuple_sums(tables: list, p: int):
+    """Chunks (rows, encodings) of the group sums over every tuple of table
+    rows, rows[k] indexing tables[k], the first table varying fastest; with
+    no tables, the one empty tuple sums to 0."""
+    total = math.prod(len(t) for t in tables)
+    for start in range(0, total, _CHUNK):
+        rest = np.arange(start, min(start + _CHUNK, total))
+        acc, rows = np.zeros((rest.size, 1), dtype=np.int64), []
+        for t in tables:
+            rest, r = np.divmod(rest, len(t))
+            rows.append(r)
+            acc = acc + t[r]
+        yield rows, _undigits(acc % p, p)
+
+
+def _split_box(f: QuadForm, P: int):
+    """The negated digit tables of the first n - 2 variables, and the
+    sums of every tuple of the last (at most two) at i_(n-1) + q^P i_n."""
+    p = f.ctx.p
+    digits = list(map(_box_values(f, P).get, f.coeffs))
+    pairs = np.concatenate([enc for _, enc in _tuple_sums(digits[-2:], p)])
+    return [-d % p for d in digits[:-2]], pairs
 
 
 def brute_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
     """N(P) by full enumeration of the q^(nP) coordinate tuples.
 
-    The outer n-2 coordinates run through an explicit odometer; for each
-    setting, the values of the final coordinate pair are compared against
-    the required complement in one vectorized sweep.
+    Every setting of the first n - 2 coordinates is formed explicitly;
+    the final pairs that complete it to 0 are counted by a lookup in the
+    histogram of all pair sums.
     """
     if P < 0:
         raise ValueError("P must be >= 0")
     _check_budget(f, P, budget)
     if P == 0:
         return 1
-    ctx = f.ctx
+    head, pairs = _split_box(f, P)
+    if f.n == 1:
+        return int(np.count_nonzero(pairs == 0))
+    hist = np.bincount(pairs, minlength=f.ctx.q ** (2 * P - 1))
+    return sum(int(hist[targets].sum()) for _, targets in _tuple_sums(head, f.ctx.p))
+
+
+def _divisor_masks(ctx: FieldCtx, P: int):
+    """Bitmasks (q^P, W) uint64 of the monic irreducible divisors of degree
+    <= P - 1 of each box element, zero having every bit, and the
+    irreducibles' encodings in bit order."""
     q = ctx.q
-    n = f.n
-    _, vals_enc, vals_digits, fq_add, fq_neg, m = _box_values(f, P)
-    if n == 1:
-        return int(np.count_nonzero(vals_enc[0] == 0))
-    fq_add_np = np.array(fq_add, dtype=np.int64)
-    pair = _pair_table(vals_enc[n - 2], vals_enc[n - 1], q, m, fq_add_np)
-    size = q**P
-    acc = 0
-
-    def rec(k: int, partial: tuple) -> None:
-        nonlocal acc
-        if k == n - 2:
-            target = 0
-            for j in range(m - 1, -1, -1):
-                target = target * q + fq_neg[partial[j]]
-            acc += int(np.count_nonzero(pair == target))
-            return
-        digits = vals_digits[k]
-        for idx in range(size):
-            d = digits[idx]
-            rec(k + 1, tuple(fq_add[a][b] for a, b in zip(partial, d)))
-
-    rec(0, (0,) * m)
-    return acc
-
-
-def _is_primitive(coords) -> bool:
-    g = None
-    for x in coords:
-        if x.is_zero():
-            continue
-        g = x.monic() if g is None else poly_gcd(g, x)
-        if g.deg == 0:
-            return True
-    return False
+    box = _digits(np.arange(q**P), q, P)
+    divided = np.zeros(q**P, dtype=bool)
+    irreducibles, marks = [], []
+    for d in range(1, P):
+        monic = np.arange(q**d, 2 * q**d)
+        pis = monic[~divided[monic]]
+        products = _undigits(_poly_mul(ctx, box[pis, None, : d + 1], box[: q ** (P - d), : P - d]), q)
+        divided[products] = True
+        marks.append((products, np.arange(len(irreducibles), len(irreducibles) + pis.size)[:, None]))
+        irreducibles.extend(pis.tolist())
+    masks = np.zeros((q**P, len(irreducibles) // 64 + 1), dtype=np.uint64)
+    for products, bit in marks:
+        np.bitwise_or.at(masks, (products, bit // 64), np.uint64(1) << (bit % 64).astype(np.uint64))
+    masks[0] = np.iinfo(np.uint64).max
+    return masks, irreducibles
 
 
 def brute_primitive_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -146,35 +165,33 @@ def brute_primitive_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> 
     if P == 0:
         return 0
     ctx = f.ctx
-    q = ctx.q
-    n = f.n
-    xs, vals_enc, vals_digits, fq_add, fq_neg, m = _box_values(f, P)
-    if n == 1:
+    if f.n == 1:
         return 0  # the only solution of a x^2 = 0 is x = 0
-    fq_add_np = np.array(fq_add, dtype=np.int64)
-    pair = _pair_table(vals_enc[n - 2], vals_enc[n - 1], q, m, fq_add_np)
-    size = q**P
+    masks = _divisor_masks(ctx, P)[0]
+    head, pairs = _split_box(f, P)
+    hist = np.bincount(pairs, minlength=ctx.q ** (2 * P - 1))
+    order = np.argsort(pairs, kind="stable")
+    starts = np.cumsum(hist) - hist  # where each sum's run begins in pairs[order]
     acc = 0
+    for rows, targets in _tuple_sums(head, ctx.p):
+        cnt = hist[targets]
+        which = np.repeat(np.arange(targets.size), cnt)
+        offset = np.arange(which.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        pair = order[starts[targets][which] + offset]
+        common = masks[pair % len(masks)] & masks[pair // len(masks)]
+        for r in rows:
+            common &= masks[r[which]]
+        acc += which.size - int(np.count_nonzero(common.any(axis=1)))
+    if acc % (ctx.q - 1):
+        raise RuntimeError("unit orbits of primitive solutions tore")
+    return acc // (ctx.q - 1)
 
-    def rec(k: int, partial: tuple, chosen: tuple) -> None:
-        nonlocal acc
-        if k == n - 2:
-            target = 0
-            for j in range(m - 1, -1, -1):
-                target = target * q + fq_neg[partial[j]]
-            for pos in np.nonzero(pair == target)[0]:
-                i, j = divmod(int(pos), size)
-                if _is_primitive(chosen + (xs[i], xs[j])):
-                    acc += 1
-            return
-        digits = vals_digits[k]
-        for idx in range(size):
-            d = digits[idx]
-            rec(k + 1, tuple(fq_add[a][b] for a, b in zip(partial, d)), chosen + (xs[idx],))
 
-    rec(0, (0,) * m, ())
-    assert acc % (q - 1) == 0, "unit orbits of primitive solutions tore"
-    return acc // (q - 1)
+def morphisms_from_primitive(prim_above: int, prim: int) -> int:
+    """Degree-P morphism count from the primitive counts at P + 1 and P."""
+    if prim_above < prim:
+        raise RuntimeError("primitive counts decreased with the box")
+    return prim_above - prim
 
 
 def brute_morphism_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -185,70 +202,63 @@ def brute_morphism_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> i
     if P < 1:
         raise ValueError("P must be >= 1")
     hi = brute_primitive_count(f, P + 1, budget)
-    lo = brute_primitive_count(f, P, budget)
-    out = hi - lo
-    assert out >= 0, "primitive counts decreased with the box"
-    return out
+    return morphisms_from_primitive(hi, brute_primitive_count(f, P, budget))
 
 
 # ---------------------------------------------------------------------------
-# histogram convolution
+# transform convolution
+
+
+def _crt_primes(p: int, bound: int) -> list[int]:
+    """Primes l = 1 (mod p), largest first under p (l - 1)^2 < 2^63, until
+    their product exceeds bound."""
+    out = []
+    for k in range(math.isqrt((2**63 - 1) // p) // p, 0, -1):
+        if math.prod(out) > bound:
+            break
+        if is_prime(k * p + 1):
+            out.append(k * p + 1)
+    return out
 
 
 def convolution_count(f: QuadForm, P: int) -> int:
     """N(P) by exact histogram convolution over the value group.
 
-    Builds, per variable, the histogram of a_i x^2 over F_q[t]/t^(2P-1)
-    and convolves them with the group's addition; the count is the mass
-    at 0.  Memory is ~q^(2P-1) counters, independent of n.
+    The count is the mass at 0 of the convolution of the histograms of
+    a_i x^2 over F_q[t]/t^(2P-1), read off the product of their
+    transforms.  Memory is ~q^(2P-1) counters, independent of n.
     """
     if P < 0:
         raise ValueError("P must be >= 0")
     if P == 0:
         return 1
     ctx = f.ctx
-    q = ctx.q
-    m = 2 * P - 1
-    G = q**m
+    p, q = ctx.p, ctx.q
+    G = q ** (2 * P - 1)
     if G > CONVOLUTION_STATE_CAP:
         raise BudgetExceeded(
             f"value group has {G} elements, above the cap {CONVOLUTION_STATE_CAP}"
         )
-    if ctx.q ** (f.n * P) >= 2**62:
+    bound = q ** (f.n * P)
+    if bound >= 2**62:
         raise BudgetExceeded("count could overflow 64-bit accumulators")
-    _, vals_enc, _, fq_add, fq_neg, _ = _box_values(f, P)
-    fq_add_np = np.array(fq_add, dtype=np.int64)
-    fq_neg_np = np.array(fq_neg, dtype=np.int64)
-    digits = np.empty((m, G), dtype=np.int64)
-    pw = 1
-    all_idx = np.arange(G, dtype=np.int64)
-    for j in range(m):
-        digits[j] = (all_idx // pw) % q
-        pw *= q
-    neg_digits = fq_neg_np[digits]
-
-    sub_table = None
-    if G <= _SUB_TABLE_CAP:
-        sub_table = np.zeros((G, G), dtype=np.int64)
-        pw = 1
-        for j in range(m):
-            sub_table += fq_add_np[digits[j][:, None], neg_digits[j][None, :]] * pw
-            pw *= q
-
-    def convolve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        if sub_table is not None:
-            return B[sub_table] @ A
-        out = np.zeros(G, dtype=np.int64)
-        powers = [q**j for j in range(m)]
-        for g in np.nonzero(A)[0]:
-            row = np.zeros(G, dtype=np.int64)
-            for j in range(m):
-                row += fq_add_np[digits[j], neg_digits[j][g]] * powers[j]
-            out += A[int(g)] * B[row]
-        return out
-
-    conv = np.bincount(vals_enc[0], minlength=G).astype(np.int64)
-    for i in range(1, f.n):
-        hist = np.bincount(vals_enc[i], minlength=G).astype(np.int64)
-        conv = convolve(conv, hist)
-    return int(conv[0])
+    moduli = _crt_primes(p, bound)
+    if math.prod(moduli) <= bound or any(p * (l - 1) ** 2 >= 2**63 for l in moduli):
+        raise RuntimeError(f"CRT moduli {moduli} cannot recover a count up to {bound}")
+    hists = {a: np.bincount(_undigits(d, p), minlength=G) for a, d in _box_values(f, P).items()}
+    count, modulus = 0, 1
+    for l in moduli:
+        # W[xi, a] = w^(xi a) for w of order p: the first g^((l-1)/p) != 1
+        w = next(w for w in (pow(g, (l - 1) // p, l) for g in range(2, l)) if w != 1)
+        W = np.array([pow(w, e, l) for e in range(p)])[np.outer(np.arange(p), np.arange(p)) % p]
+        product = np.ones(G, dtype=np.int64)
+        for a, k in Counter(f.coeffs).items():
+            h = hists[a]
+            for j in range((2 * P - 1) * ctx.nu):
+                h = np.matmul(W, h.reshape(p**j, p, -1)) % l
+            for _ in range(k):
+                product = product * h.ravel() % l
+        residue = int(product.sum()) * pow(G, -1, l) % l
+        count += modulus * ((residue - count) * pow(modulus, -1, l) % l)
+        modulus *= l
+    return count

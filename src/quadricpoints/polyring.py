@@ -373,7 +373,8 @@ def _one_irreducible_factor(f: Poly, rng: random.Random) -> Poly:
         # f = g(t)^p for the p-th root g; recurse on it
         return _one_irreducible_factor(_pth_root(f), rng)
     w = f // poly_gcd(f, deriv)  # squarefree; nonconstant since deriv != 0
-    assert w.deg >= 1
+    if w.deg < 1:
+        raise RuntimeError("squarefree part of a nonconstant polynomial is constant")
     # distinct-degree scan on w
     t = Poly.gen(ctx)
     h = t % w
@@ -550,34 +551,8 @@ def enumerate_monic(ctx: FieldCtx, d: int):
         yield Poly(ctx, tuple(coeffs) + (1,))
 
 
-def enumerate_monic_up_to(ctx: FieldCtx, dmax: int):
-    for d in range(dmax + 1):
-        yield from enumerate_monic(ctx, d)
-
-
 def irreducibles(ctx: FieldCtx, d: int):
     """Monic irreducibles of degree d in canonical order."""
     for f in enumerate_monic(ctx, d):
         if is_irreducible(f):
             yield f
-
-
-# -- text / JSON interchange ------------------------------------------------
-
-
-def poly_to_coeff_list(f: Poly):
-    """Little-endian coefficient list; entries are ints for nu = 1, else nu-lists."""
-    ctx = f.ctx
-    if ctx.nu == 1:
-        return [c for c in f.coeffs]
-    return [list(ctx.coeffs(c)) for c in f.coeffs]
-
-
-def poly_from_coeff_list(ctx: FieldCtx, data) -> Poly:
-    coeffs = []
-    for item in data:
-        if isinstance(item, (list, tuple)):
-            coeffs.append(ctx.from_coeffs(item))
-        else:
-            coeffs.append(int(item) % ctx.q if ctx.nu == 1 else int(item))
-    return Poly(ctx, coeffs)

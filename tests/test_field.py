@@ -1,8 +1,11 @@
 """Finite field contexts: construction, arithmetic, traces, squares."""
 
+import math
+
 import pytest
 
 from quadricpoints import FieldCtx
+from quadricpoints.field import is_prime
 
 
 def test_prime_field_basics(F3):
@@ -27,6 +30,17 @@ def test_invalid_constructions():
     # u^2 + 2 = u^2 - 1 = (u-1)(u+1) is reducible over F_3
     with pytest.raises(ValueError):
         FieldCtx(3, 2, [2, 0, 1])
+
+
+def test_is_prime_matches_trial_division():
+    def by_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    for n in list(range(-3, 3000)) + list(range(1753412800, 1753413100)):
+        assert is_prime(n) == by_division(n), n
+    # strong pseudoprimes to the leading bases, and a Carmichael number
+    for n in (2047, 1373653, 25326001, 3215031751, 3825123056546413051, 561):
+        assert not is_prime(n), n
 
 
 def test_inverse_of_zero_raises(F9):

@@ -1,8 +1,11 @@
 """Independent enumeration oracles and their agreement with the formulas."""
 
+import math
+
 import pytest
 
 from quadricpoints import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     FieldCtx,
     QuadForm,
@@ -10,9 +13,15 @@ from quadricpoints import (
     brute_morphism_count,
     brute_primitive_count,
     convolution_count,
+    count_circle,
     count_exact,
+    count_primitive,
+    irreducibles,
     morphism_count,
+    poly_from_encoding,
 )
+from quadricpoints.field import is_prime
+from quadricpoints.oracle import CONVOLUTION_STATE_CAP, _crt_primes, _divisor_masks
 
 
 def test_brute_equals_convolution_equals_exact(F3):
@@ -96,3 +105,43 @@ def test_morphism_is_primitive_difference(F3):
     for P in (1, 2):
         diff = brute_primitive_count(f, P + 1) - brute_primitive_count(f, P)
         assert brute_morphism_count(f, P) == diff
+
+
+@pytest.mark.parametrize("q", [7, 11, 25, 27])
+def test_oracles_agree_with_formulas_over_wider_fields(q):
+    p = min(d for d in range(2, q + 1) if q % d == 0)
+    ctx = FieldCtx(p, round(math.log(q, p)))
+    nonsquare = min(a for a in ctx.units() if not ctx.is_square_unit(a))
+    for n in range(1, 7):
+        for coeffs in [(1,) * n, (1,) * (n - 1) + (nonsquare,)]:
+            f = QuadForm(ctx, coeffs)
+            for P in (1, 2, 3):
+                if q ** (n * P) > DEFAULT_BUDGET or q ** (2 * P - 1) > CONVOLUTION_STATE_CAP:
+                    continue
+                want = count_exact(f, P) if n >= 3 else count_circle(f, P)
+                assert brute_count(f, P) == convolution_count(f, P) == want, (coeffs, P)
+                if n >= 3 and q ** (n * (P + 1)) <= DEFAULT_BUDGET:
+                    assert brute_primitive_count(f, P) == count_primitive(f, P), (coeffs, P)
+                    assert brute_morphism_count(f, P) == morphism_count(f, P), (coeffs, P)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
+def test_crt_primes_cover_the_bound_without_overflow(p):
+    for bound in (1, p**7, 2**62):
+        moduli = _crt_primes(p, bound)
+        assert math.prod(moduli) > bound
+        for l in moduli:
+            assert is_prime(l) and l % p == 1
+            assert p * (l - 1) ** 2 < 2**63
+
+
+@pytest.mark.parametrize("p, nu, P", [(3, 1, 5), (5, 1, 4), (7, 1, 3), (3, 2, 3)])
+def test_mask_sieve_finds_the_irreducibles(p, nu, P):
+    ctx = FieldCtx(p, nu)
+    masks, found = _divisor_masks(ctx, P)
+    want = [g for d in range(1, P) for g in irreducibles(ctx, d)]
+    assert [poly_from_encoding(ctx, e) for e in found] == want
+    assert (masks[0] == ~masks.dtype.type(0)).all()
+    for x in range(1, ctx.q**P, 7):
+        bits = [int(masks[x, b // 64]) >> (b % 64) & 1 for b in range(len(want))]
+        assert bits == [int((poly_from_encoding(ctx, x) % g).is_zero()) for g in want]
