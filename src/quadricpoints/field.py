@@ -27,13 +27,7 @@ def is_prime(n: int) -> bool:
         d, s = d // 2, s + 1
     for b in bases:
         x = pow(b, d, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
+        if x != 1 and n - 1 not in (pow(x, 2**r, n) for r in range(s)):
             return False
     return True
 

@@ -65,21 +65,23 @@ def _undigits(d: np.ndarray, base: int) -> np.ndarray:
     return d @ base ** np.arange(d.shape[-1])
 
 
-def _fq_mul(ctx: FieldCtx):
-    """Elementwise product of F_q encoding arrays."""
+def _fq_mul(ctx: FieldCtx, a, b) -> np.ndarray:
+    """Elementwise product of F_q encoding arrays, ``ctx.mul`` once per distinct pair."""
     if ctx.nu == 1:
-        return lambda a, b: a * b % ctx.p
-    table = np.array([[ctx.mul(a, b) for b in range(ctx.q)] for a in range(ctx.q)])
-    return lambda a, b: table[a, b]
+        return a * b % ctx.p
+    keys = np.asarray(a * ctx.q + b)
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    products = np.array([ctx.mul(*divmod(int(k), ctx.q)) for k in pairs], dtype=np.int64)
+    return products[inverse].reshape(keys.shape)
 
 
 def _poly_mul(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Products over F_q of coefficient arrays (last axis, little endian)."""
-    mul, da, db = _fq_mul(ctx), A.shape[-1], B.shape[-1]
+    da, db = A.shape[-1], B.shape[-1]
     shape = np.broadcast_shapes(A.shape[:-1], B.shape[:-1]) + (da + db - 1, ctx.nu)
     out = np.zeros(shape, dtype=np.int64)
     for i in range(da):
-        out[..., i : i + db, :] += _digits(mul(A[..., i : i + 1], B), ctx.p, ctx.nu)
+        out[..., i : i + db, :] += _digits(_fq_mul(ctx, A[..., i : i + 1], B), ctx.p, ctx.nu)
     return _undigits(out % ctx.p, ctx.p)
 
 
@@ -88,8 +90,8 @@ def _box_values(f: QuadForm, P: int) -> dict:
     box polynomial with encoding equal to the row."""
     ctx = f.ctx
     box = _digits(np.arange(ctx.q**P), ctx.q, P)
-    squares, mul = _poly_mul(ctx, box, box), _fq_mul(ctx)
-    return {a: _digits(mul(a, squares), ctx.p, ctx.nu).reshape(len(box), -1) for a in set(f.coeffs)}
+    squares = _poly_mul(ctx, box, box)
+    return {a: _digits(_fq_mul(ctx, a, squares), ctx.p, ctx.nu).reshape(len(box), -1) for a in set(f.coeffs)}
 
 
 def _tuple_sums(tables: list, p: int):
@@ -135,26 +137,26 @@ def brute_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
     return sum(int(hist[targets].sum()) for _, targets in _tuple_sums(head, f.ctx.p))
 
 
-def _divisor_masks(ctx: FieldCtx, P: int):
+def _divisor_masks(ctx: FieldCtx, P: int) -> np.ndarray:
     """Bitmasks (q^P, W) uint64 of the monic irreducible divisors of degree
-    <= P - 1 of each box element, zero having every bit, and the
-    irreducibles' encodings in bit order."""
+    <= P - 1 of each box element, zero having every bit; the bits follow
+    the irreducibles' encodings in ascending order."""
     q = ctx.q
     box = _digits(np.arange(q**P), q, P)
     divided = np.zeros(q**P, dtype=bool)
-    irreducibles, marks = [], []
+    bits, marks = 0, []
     for d in range(1, P):
         monic = np.arange(q**d, 2 * q**d)
         pis = monic[~divided[monic]]
         products = _undigits(_poly_mul(ctx, box[pis, None, : d + 1], box[: q ** (P - d), : P - d]), q)
         divided[products] = True
-        marks.append((products, np.arange(len(irreducibles), len(irreducibles) + pis.size)[:, None]))
-        irreducibles.extend(pis.tolist())
-    masks = np.zeros((q**P, len(irreducibles) // 64 + 1), dtype=np.uint64)
+        marks.append((products, np.arange(bits, bits + pis.size)[:, None]))
+        bits += pis.size
+    masks = np.zeros((q**P, bits // 64 + 1), dtype=np.uint64)
     for products, bit in marks:
         np.bitwise_or.at(masks, (products, bit // 64), np.uint64(1) << (bit % 64).astype(np.uint64))
     masks[0] = np.iinfo(np.uint64).max
-    return masks, irreducibles
+    return masks
 
 
 def brute_primitive_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -162,12 +164,10 @@ def brute_primitive_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> 
     if P < 0:
         raise ValueError("P must be >= 0")
     _check_budget(f, P, budget)
-    if P == 0:
-        return 0
+    if P == 0 or f.n == 1:
+        return 0  # the box is {0}, or a x^2 = 0 only at x = 0
     ctx = f.ctx
-    if f.n == 1:
-        return 0  # the only solution of a x^2 = 0 is x = 0
-    masks = _divisor_masks(ctx, P)[0]
+    masks = _divisor_masks(ctx, P)
     head, pairs = _split_box(f, P)
     hist = np.bincount(pairs, minlength=ctx.q ** (2 * P - 1))
     order = np.argsort(pairs, kind="stable")
@@ -221,6 +221,17 @@ def _crt_primes(p: int, bound: int) -> list[int]:
     return out
 
 
+def _transform(h: np.ndarray, powers: np.ndarray, l: int) -> np.ndarray:
+    """sum_a w^(xi a) h[:, a, :] mod l for every xi, over the nonzero columns
+    a, in blocks of at most ``_CHUNK`` * 64 powers so memory stays O(h.size)."""
+    p = len(powers)
+    support = np.flatnonzero(h.any(axis=(0, 2)))
+    out, h = np.empty_like(h), h[:, support]
+    for xi in np.array_split(np.arange(p), -(-p * support.size // (_CHUNK * 64))):
+        out[:, xi] = np.matmul(powers[xi[:, None] * support % p], h) % l
+    return out
+
+
 def convolution_count(f: QuadForm, P: int) -> int:
     """N(P) by exact histogram convolution over the value group.
 
@@ -232,30 +243,27 @@ def convolution_count(f: QuadForm, P: int) -> int:
         raise ValueError("P must be >= 0")
     if P == 0:
         return 1
-    ctx = f.ctx
-    p, q = ctx.p, ctx.q
+    p, q = f.ctx.p, f.ctx.q
     G = q ** (2 * P - 1)
     if G > CONVOLUTION_STATE_CAP:
-        raise BudgetExceeded(
-            f"value group has {G} elements, above the cap {CONVOLUTION_STATE_CAP}"
-        )
+        raise BudgetExceeded(f"value group has {G} elements, above the cap {CONVOLUTION_STATE_CAP}")
     bound = q ** (f.n * P)
     if bound >= 2**62:
         raise BudgetExceeded("count could overflow 64-bit accumulators")
     moduli = _crt_primes(p, bound)
     if math.prod(moduli) <= bound or any(p * (l - 1) ** 2 >= 2**63 for l in moduli):
-        raise RuntimeError(f"CRT moduli {moduli} cannot recover a count up to {bound}")
+        raise BudgetExceeded(f"no primes l = 1 (mod {p}) with p (l - 1)^2 < 2^63 cover counts up to {bound}")
     hists = {a: np.bincount(_undigits(d, p), minlength=G) for a, d in _box_values(f, P).items()}
     count, modulus = 0, 1
     for l in moduli:
-        # W[xi, a] = w^(xi a) for w of order p: the first g^((l-1)/p) != 1
+        # powers of w of order p: the first g^((l-1)/p) != 1
         w = next(w for w in (pow(g, (l - 1) // p, l) for g in range(2, l)) if w != 1)
-        W = np.array([pow(w, e, l) for e in range(p)])[np.outer(np.arange(p), np.arange(p)) % p]
+        powers = np.array([pow(w, e, l) for e in range(p)])
         product = np.ones(G, dtype=np.int64)
         for a, k in Counter(f.coeffs).items():
-            h = hists[a]
-            for j in range((2 * P - 1) * ctx.nu):
-                h = np.matmul(W, h.reshape(p**j, p, -1)) % l
+            h = hists[a] % l
+            for j in range((2 * P - 1) * f.ctx.nu):
+                h = _transform(h.reshape(p**j, p, -1), powers, l)
             for _ in range(k):
                 product = product * h.ravel() % l
         residue = int(product.sum()) * pow(G, -1, l) % l

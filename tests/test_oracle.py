@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from quadricpoints import (
@@ -135,13 +136,28 @@ def test_crt_primes_cover_the_bound_without_overflow(p):
             assert p * (l - 1) ** 2 < 2**63
 
 
+def test_convolution_at_a_large_prime():
+    # one base-p axis of length 10007: the transform runs in row blocks
+    f = QuadForm(FieldCtx(10007), (1, 1, 1))
+    assert convolution_count(f, 1) == count_exact(f, 1)
+
+
+def test_convolution_refuses_without_crt_moduli():
+    # every l = 1 (mod p) with p (l - 1)^2 < 2^63 is p + 1, which is even
+    with pytest.raises(BudgetExceeded):
+        convolution_count(QuadForm(FieldCtx(1999993), (1,)), 1)
+
+
 @pytest.mark.parametrize("p, nu, P", [(3, 1, 5), (5, 1, 4), (7, 1, 3), (3, 2, 3)])
 def test_mask_sieve_finds_the_irreducibles(p, nu, P):
     ctx = FieldCtx(p, nu)
-    masks, found = _divisor_masks(ctx, P)
+    masks = _divisor_masks(ctx, P)
     want = [g for d in range(1, P) for g in irreducibles(ctx, d)]
-    assert [poly_from_encoding(ctx, e) for e in found] == want
     assert (masks[0] == ~masks.dtype.type(0)).all()
+    bits = np.unpackbits(masks[1:].astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, len(want) :].any()
+    # an irreducible is the smallest nonzero element its bit divides
+    first = 1 + bits[:, : len(want)].argmax(axis=0)
+    assert [poly_from_encoding(ctx, int(e)) for e in first] == want
     for x in range(1, ctx.q**P, 7):
-        bits = [int(masks[x, b // 64]) >> (b % 64) & 1 for b in range(len(want))]
-        assert bits == [int((poly_from_encoding(ctx, x) % g).is_zero()) for g in want]
+        assert bits[x - 1, : len(want)].tolist() == [int((poly_from_encoding(ctx, x) % g).is_zero()) for g in want]
