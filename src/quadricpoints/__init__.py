@@ -39,10 +39,6 @@ from .expsums import (
 )
 from .field import FieldCtx
 from .formulas import (
-    METHOD_BRUTE,
-    METHOD_CIRCLE,
-    METHOD_CONVOLUTION,
-    METHOD_EXACT,
     CountReport,
     classify,
     count_circle,
@@ -126,10 +122,6 @@ __all__ = [
     "phi_degree_sum",
     "phi_power_sum",
     "CountReport",
-    "METHOD_EXACT",
-    "METHOD_CIRCLE",
-    "METHOD_BRUTE",
-    "METHOD_CONVOLUTION",
     "brute_count",
     "brute_primitive_count",
     "brute_morphism_count",

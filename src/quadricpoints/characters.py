@@ -21,10 +21,6 @@ from .cyclotomic import CycInt, QScaled
 from .field import FieldCtx
 from .polyring import Poly
 
-#: When True (the default under __debug__), ball_integral spot-checks that
-#: the integrand really is constant below its declared depth.
-CHECK_DECLARED_DEPTH = True
-
 
 class LaurentTail:
     """Principal part sum(b_i * t^(-i), i >= 1) with finitely many nonzero b_i."""
@@ -155,13 +151,9 @@ def ball_integral(ctx: FieldCtx, M: int, depth: int, functional) -> QScaled:
         raise ValueError("only balls inside the integers are supported")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if __debug__ and CHECK_DECLARED_DEPTH:
-        probe = functional(LaurentTail.single(ctx, depth + 1, 1))
-        base = functional(LaurentTail.zero(ctx))
-        if probe != base:
-            raise AssertionError(
-                f"integrand varies at depth {depth + 1}, deeper than declared"
-            )
+    # spot-check that the integrand really is constant below its declared depth
+    if functional(LaurentTail.single(ctx, depth + 1, 1)) != functional(LaurentTail.zero(ctx)):
+        raise RuntimeError(f"integrand varies at depth {depth + 1}, deeper than declared")
     if depth + M <= 0:
         return QScaled(functional(LaurentTail.zero(ctx)), -M)
     total = CycInt.zero(ctx.p)

@@ -28,10 +28,6 @@ from . import oracle
 from .expsums import QuadForm
 from .field import FieldCtx
 from .formulas import (
-    METHOD_BRUTE,
-    METHOD_CIRCLE,
-    METHOD_CONVOLUTION,
-    METHOD_EXACT,
     CountReport,
     classify,
     count_circle,
@@ -39,6 +35,7 @@ from .formulas import (
     diagonalize,
     morphism_count,
     morphism_count_from_counts,
+    primitive_from_counts,
 )
 from .oracle import BudgetExceeded, brute_count, brute_primitive_count, convolution_count, morphisms_from_primitive
 from .verify import SUITES
@@ -46,11 +43,12 @@ from .verify import SUITES
 SCHEMA_VERSION = 1
 BUDGET_ENV_VAR = "QUADRICPOINTS_BUDGET"
 
-_METHOD_NAMES = {
-    "exact": METHOD_EXACT,
-    "circle": METHOD_CIRCLE,
-    "brute": METHOD_BRUTE,
-    "conv": METHOD_CONVOLUTION,
+#: --method name -> (label written in ``data``, N(P) for P >= 1)
+METHODS = {
+    "exact": ("exact_formula", lambda f, P, budget: count_exact(f, P)),
+    "circle": ("circle_reassembly", lambda f, P, budget: count_circle(f, P)),
+    "brute": ("brute_force", lambda f, P, budget: brute_count(f, P, budget)),
+    "conv": ("convolution", lambda f, P, budget: convolution_count(f, P)),
 }
 
 
@@ -139,6 +137,8 @@ def _parse_P_values(args) -> list[int]:
             lo, hi = (int(x) for x in text.split(sep))
         except ValueError:
             raise UsageError(f"cannot parse P range {text!r}; use 'lo..hi'") from None
+        if lo > hi:
+            raise UsageError(f"empty P range {text!r}: lo must not exceed hi")
         return list(range(lo, hi + 1))
     raise UsageError("a box size is required: --P or --P-range")
 
@@ -149,9 +149,9 @@ def _parse_methods(spec: str) -> list[str]:
         tok = tok.strip()
         if not tok:
             continue
-        if tok not in _METHOD_NAMES:
+        if tok not in METHODS:
             raise UsageError(
-                f"unknown method {tok!r}; choose from {', '.join(_METHOD_NAMES)}"
+                f"unknown method {tok!r}; choose from {', '.join(METHODS)}"
             )
         if tok not in methods:
             methods.append(tok)
@@ -209,16 +209,9 @@ class JobSpec:
 # computations behind the subcommands
 
 
-def _count_by(method: str, f: QuadForm, P: int, budget: int) -> int:
-    if P == 0:
-        return 1
-    if method == "exact":
-        return count_exact(f, P)
-    if method == "circle":
-        return count_circle(f, P)
-    if method == "brute":
-        return brute_count(f, P, budget)
-    return convolution_count(f, P)
+def _count(method: str, f: QuadForm, P: int, budget: int) -> int:
+    """N(P) by one method, with the convention N(0) = 1 (only the zero tuple)."""
+    return 1 if P == 0 else METHODS[method][1](f, P, budget)
 
 
 def _run_cells(tasks, jobs: int):
@@ -231,53 +224,56 @@ def _run_cells(tasks, jobs: int):
 
 
 def cmd_count(spec: JobSpec) -> dict:
-    tasks = []
+    tasks = [
+        lambda P=P, m=m: CountReport.build(
+            spec.form, P, METHODS[m][0], _count(m, spec.form, P, spec.budget)
+        ).to_json_dict()
+        for P in spec.P_values
+        for m in spec.methods
+    ]
+    return {"data": _run_cells(tasks, spec.jobs)}
+
+
+def _table_column(spec: JobSpec, method: str):
+    """One method's rows in P order, computing each count once.
+
+    The counts are taken in the order the rows first need them, so the
+    first refusal or error is the one a row-by-row evaluation would hit.
+    """
+    f, q, budget = spec.form, spec.ctx.q, spec.budget
+    N, prim = {}, {}
     for P in spec.P_values:
-        for method in spec.methods:
-            tasks.append(
-                lambda P=P, m=method: CountReport.build(
-                    spec.form, P, _METHOD_NAMES[m], _count_by(m, spec.form, P, spec.budget)
-                ).to_json_dict()
-            )
-    data = _run_cells(tasks, spec.jobs)
-    return {"data": data}
-
-
-def _table_row(spec: JobSpec, P: int, method: str) -> dict:
-    f = spec.form
-    q = spec.ctx.q
-    if method == "brute":
-        n_val = brute_count(f, P, spec.budget)
-        prim = brute_primitive_count(f, P, spec.budget)
-        mor = morphisms_from_primitive(brute_primitive_count(f, P + 1, spec.budget), prim)
-    else:
-        n_val = _count_by(method, f, P, spec.budget)
-        below = _count_by(method, f, P - 1, spec.budget)
-        above = _count_by(method, f, P + 1, spec.budget)
-        prim = (n_val - q * below) // (q - 1) + 1
-        if (n_val - q * below) % (q - 1):
-            raise AssertionError("primitive count not integral")
-        if method == "exact":
-            mor = morphism_count(f, P)
+        if method == "brute":
+            N[P] = brute_count(f, P, budget)
+            for k in (P, P + 1):
+                if k not in prim:
+                    prim[k] = brute_primitive_count(f, k, budget)
+            mor = morphisms_from_primitive(prim[P + 1], prim[P])
         else:
-            mor = morphism_count_from_counts(above, n_val, below, q)
-    return {
-        "P": P,
-        "method": _METHOD_NAMES[method],
-        "N": n_val,
-        "N_primitive": prim,
-        "morphisms": mor,
-    }
+            for k in (P, P - 1, P + 1):
+                if k not in N:
+                    N[k] = _count(method, f, k, budget)
+            prim[P] = primitive_from_counts(N[P], N[P - 1], q)
+            if method == "exact":
+                mor = morphism_count(f, P)
+            else:
+                mor = morphism_count_from_counts(N[P + 1], N[P], N[P - 1], q)
+        yield {
+            "P": P,
+            "method": METHODS[method][0],
+            "N": N[P],
+            "N_primitive": prim[P],
+            "morphisms": mor,
+        }
 
 
 def cmd_table(spec: JobSpec) -> dict:
-    tasks = [
-        lambda P=P, m=method: _table_row(spec, P, m)
-        for P in spec.P_values
-        for method in spec.methods
-    ]
-    data = _run_cells(tasks, spec.jobs)
-    return {"data": data}
+    columns = [_table_column(spec, m) for m in spec.methods]
+    if spec.jobs > 1:
+        # one thread per method column.  With one job, zip below pulls the
+        # rows lazily in P-major order, so a refusal stops all further work.
+        columns = _run_cells([lambda c=c: list(c) for c in columns], spec.jobs)
+    return {"data": [row for rows in zip(*columns) for row in rows]}
 
 
 def cmd_verify(spec: JobSpec, suite: str, kwargs: dict) -> dict:

@@ -32,124 +32,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Polynomial helpers over F_p, used only to validate/construct the modulus.
-# Coefficient tuples are little-endian and trimmed.
-
-
-def _fp_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _fp_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # m need not be monic; divide through by the leading coefficient.
-    inv_lead = pow(m[-1], p - 2, p)
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dm:
-            break
-        c = (r[-1] * inv_lead) % p
-        shift = len(r) - 1 - dm
-        for i, mi in enumerate(m):
-            r[shift + i] = (r[shift + i] - c * mi) % p
-    return _fp_trim(r)
-
-
-def _fp_powmod(base: tuple[int, ...], e: int, m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    b = _fp_mod(base, m, p)
-    while e > 0:
-        if e & 1:
-            result = _fp_mod(_fp_mul(result, b, p), m, p)
-        b = _fp_mod(_fp_mul(b, b, p), m, p)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    while b:
-        a, b = b, _fp_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _fp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Rabin's test for f in F_p[u], f monic of degree >= 1."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    x: tuple[int, ...] = (0, 1)
-    # x^(p^d) == x mod f
-    h = x
-    for _ in range(d):
-        h = _fp_powmod(h, p, f, p)
-    if h != _fp_mod(x, f, p):
-        return False
-    # for each prime l | d: gcd(x^(p^(d/l)) - x, f) must be trivial
-    for l in _prime_divisors(d):
-        h = x
-        for _ in range(d // l):
-            h = _fp_powmod(h, p, f, p)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _fp_gcd(_fp_trim(diff), f, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _default_modulus(p: int, nu: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree nu over F_p.
-
-    Candidates are scanned in increasing order of their integer encoding,
-    i.e. lexicographic order on (c_{nu-1}, ..., c_0).
-    """
-    for enc in range(p**nu):
-        coeffs = []
-        e = enc
-        for _ in range(nu):
-            e, c = divmod(e, p)
-            coeffs.append(c)
-        cand = tuple(coeffs) + (1,)
-        if _fp_is_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
 class FieldCtx:
     """The field F_q together with its element encoding.
 
@@ -175,15 +57,22 @@ class FieldCtx:
         self.p = p
         self.nu = nu
         self.q = p**nu
-        if modulus is None:
-            self.modulus = _default_modulus(p, nu)
-        else:
-            m = tuple(int(c) % p for c in modulus)
-            if len(m) != nu + 1 or m[-1] != 1:
+        if modulus is not None:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != nu + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree nu")
-            if not _fp_is_irreducible(m, p):
+        if nu == 1:
+            # degree 1 is always irreducible, and a search over F_p[u] would recurse
+            self.modulus = modulus or (0, 1)
+        else:
+            from . import polyring  # here, not at the top: polyring imports FieldCtx
+
+            base = FieldCtx(p)
+            if modulus is None:
+                modulus = next(polyring.irreducibles(base, nu)).coeffs
+            elif not polyring.is_irreducible(polyring.Poly(base, modulus)):
                 raise ValueError("modulus is reducible over F_p")
-            self.modulus = m
+            self.modulus = modulus
         if self.nu > 1 and self.q <= _TABLE_LIMIT:
             self._mul = [[self._mul_raw(a, b) for b in range(self.q)] for a in range(self.q)]
         else:
@@ -250,19 +139,19 @@ class FieldCtx:
         return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
-        p = self.p
-        da = self.coeffs(a)
-        db = self.coeffs(b)
-        prod = [0] * (2 * self.nu - 1)
+        nu, m = self.nu, self.modulus
+        da, db = self.coeffs(a), self.coeffs(b)
+        prod = [0] * (2 * nu - 1)
         for i, ai in enumerate(da):
             if ai:
                 for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        red = _fp_mod(tuple(prod), self.modulus, p)
-        enc = 0
-        for i, c in enumerate(red):
-            enc += c * p**i
-        return enc
+                    prod[i + j] += ai * bj
+        # reduce by the monic modulus, top degree first: u^nu = -(m_0 + ... + m_{nu-1} u^{nu-1})
+        for k in range(2 * nu - 2, nu - 1, -1):
+            c = prod[k] % self.p
+            for i in range(nu):
+                prod[k - nu + i] -= c * m[i]
+        return self.from_coeffs(prod[:nu])
 
     def mul(self, a: int, b: int) -> int:
         if self.nu == 1:

@@ -22,11 +22,6 @@ from .expsums import CaseTag, QuadForm, arc_integral_closed, local_factor_closed
 from .field import FieldCtx
 from .polyring import Poly, enumerate_monic
 
-METHOD_EXACT = "exact_formula"
-METHOD_CIRCLE = "circle_reassembly"
-METHOD_BRUTE = "brute_force"
-METHOD_CONVOLUTION = "convolution"
-
 
 def classify(f: QuadForm) -> CaseTag:
     """Case split of the closed formulas.
@@ -138,7 +133,7 @@ def phi_power_sum(q: int, M: int, c: int, signed: bool = False) -> Fraction:
 
 def _as_int(x: Fraction, what: str) -> int:
     if x.denominator != 1:
-        raise AssertionError(f"{what} came out non-integral: {x}")
+        raise RuntimeError(f"{what} came out non-integral: {x}")
     return int(x)
 
 
@@ -225,11 +220,20 @@ def count_primitive(f: QuadForm, P: int) -> int:
     """Primitive solutions up to units: (N(P) - q N(P-1)) / (q - 1) + 1."""
     if P < 1:
         raise ValueError("primitive counts need P >= 1")
-    q = f.ctx.q
-    val = Fraction(_count_any(f, P) - q * _count_any(f, P - 1), q - 1) + 1
-    out = _as_int(val, "primitive count")
+    return primitive_from_counts(_count_any(f, P), _count_any(f, P - 1), f.ctx.q)
+
+
+def primitive_from_counts(n_mid: int, n_minus: int, q: int) -> int:
+    """Primitive count at P from N(P), N(P-1): (N(P) - q N(P-1)) / (q - 1) + 1.
+
+    Non-divisibility or a negative result signals inconsistent inputs.
+    """
+    num = n_mid - q * n_minus
+    if num % (q - 1):
+        raise ValueError("counts are inconsistent: difference not divisible by q - 1")
+    out = num // (q - 1) + 1
     if out < 0:
-        raise AssertionError("primitive count came out negative")
+        raise ValueError("counts are inconsistent: negative primitive count")
     return out
 
 

@@ -459,7 +459,7 @@ def _legendre(a: Poly, pi: Poly) -> int:
         return 1
     if power == Poly.constant(ctx, ctx.neg(1)):
         return -1
-    raise AssertionError("Euler criterion computed a non-sign value")
+    raise RuntimeError("Euler criterion computed a non-sign value")
 
 
 def jacobi_symbol(a: Poly, r: Poly, fac: Factorization | None = None) -> int:

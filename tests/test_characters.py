@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import quadricpoints.characters as characters
 from quadricpoints import (
     CycInt,
     LaurentTail,
@@ -104,10 +103,9 @@ def test_ball_integral_shortcut_region(F3):
 
 def test_ball_integral_depth_guard(F3):
     # a functional that secretly reads past its declared depth is rejected
-    assert characters.CHECK_DECLARED_DEPTH
     cheat = Poly.t_power(F3, 2)  # needs depth 3
 
-    with pytest.raises(AssertionError):
+    with pytest.raises(RuntimeError, match="deeper than declared"):
         ball_integral(F3, -1, 2, lambda tail: psi_tail(tail, cheat))
 
 

@@ -129,11 +129,47 @@ def test_table_methods_agree(capsys):
 
 
 def test_empty_range(capsys):
-    code, out, _ = run(
-        capsys, "table", "--p", "3", "--coeffs", "1,1,1", "--P-range", "3..2"
+    for command in ("count", "table"):
+        code, out, err = run(
+            capsys, command, "--p", "3", "--coeffs", "1,1,1", "--P-range", "3..2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "'3..2'" in err
+
+
+def _count_calls(monkeypatch, name):
+    import quadricpoints.cli as cli_mod
+
+    calls = []
+    real = getattr(cli_mod, name)
+
+    def counted(f, P, *rest):
+        calls.append(P)
+        return real(f, P, *rest)
+
+    monkeypatch.setattr(cli_mod, name, counted)
+    return calls
+
+
+def test_table_computes_each_convolution_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "convolution_count")
+    code, _, _ = run(
+        capsys, "table", "--p", "3", "--coeffs", "1,1,1", "--P-range", "1..3", "--method", "conv"
     )
     assert code == 0
-    assert json.loads(out)["data"] == []
+    assert sorted(calls) == [1, 2, 3, 4]  # N(0) = 1 needs no call
+
+
+def test_table_computes_each_brute_count_once(capsys, monkeypatch):
+    primitive = _count_calls(monkeypatch, "brute_primitive_count")
+    full = _count_calls(monkeypatch, "brute_count")
+    code, _, _ = run(
+        capsys, "table", "--p", "3", "--coeffs", "1,1,1", "--P-range", "1..2", "--method", "brute"
+    )
+    assert code == 0
+    assert sorted(primitive) == [1, 2, 3]
+    assert sorted(full) == [1, 2]
 
 
 def test_byte_determinism_across_runs_and_jobs(capsys):

@@ -1,6 +1,7 @@
 """Finite field contexts: construction, arithmetic, traces, squares."""
 
 import math
+import random
 
 import pytest
 
@@ -52,6 +53,29 @@ def test_default_modulus_f9(F9):
     # first monic irreducible quadratic over F_3 in encoding order is u^2 + 1
     assert F9.modulus == (1, 0, 1)
     assert F9.q == 9
+    # the first monic irreducible in encoding order, for higher degrees too
+    pinned = {
+        (3, 3): (1, 2, 0, 1),
+        (3, 4): (2, 1, 0, 0, 1),
+        (5, 3): (1, 1, 0, 1),
+        (7, 3): (2, 0, 0, 1),
+        (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    }
+    for (p, nu), modulus in pinned.items():
+        assert FieldCtx(p, nu).modulus == modulus
+
+
+def test_untabled_extension_field_is_a_field():
+    F = FieldCtx(3, 6)  # q = 729: products are reduced on the fly, not looked up
+    assert F._mul is None
+    rng = random.Random(7)
+    sample = [rng.randrange(F.q) for _ in range(40)]
+    for a, b, c in zip(sample, sample[1:], sample[2:]):
+        assert F.mul(a, b) == F.mul(b, a)
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    for a in sample:
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
 
 
 def test_extension_field_is_a_field(F9):
