@@ -268,11 +268,8 @@ def _table_column(spec: JobSpec, method: str):
 
 
 def cmd_table(spec: JobSpec) -> dict:
+    # zip pulls the rows lazily in P-major order, so a refusal stops all work
     columns = [_table_column(spec, m) for m in spec.methods]
-    if spec.jobs > 1:
-        # one thread per method column.  With one job, zip below pulls the
-        # rows lazily in P-major order, so a refusal stops all further work.
-        columns = _run_cells([lambda c=c: list(c) for c in columns], spec.jobs)
     return {"data": [row for rows in zip(*columns) for row in rows]}
 
 

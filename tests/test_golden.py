@@ -26,6 +26,8 @@ JOBS = [
     ["table", "--p", "5", "--coeffs", "1,1,2,3", "--P", "1", *ALL],
     ["count", "--q", "9", "--coeffs", "1,1,1", "--P", "1", *ALL],
     ["table", "--p", "5", "--coeffs", "1,1,2,3", "--P-range", "1..2", *ALL, "--jobs", "2"],
+    # two refusing columns: the first failing row's refusal (brute at P = 5) wins
+    ["table", "--p", "3", "--coeffs", "1,1,1", "--P-range", "5..7", "--method", "conv,brute", "--jobs", "2"],
     ["table", "--p", "7", "--coeffs", "1,3", "--P-range", "1..2", "--method", "circle,brute,conv"],
     ["table", "--p", "3", "--coeffs", "1,1", "--P", "1", "--method", "circle,exact"],
     ["table", "--q", "9", "--coeffs", "1,1,1,1", "--P", "1", "--method", "exact,conv"],
