@@ -4,15 +4,19 @@ Driving the package from the command line
 
 The console script `quadricpoints` wraps the library: counts, tables,
 and verification suites, with JSON or CSV output.  This demo shells out
-to the installed entry point exactly as a user would.
+to the command line as a user would; it runs ``python -m
+quadricpoints.cli``, which is the same program, so it also works from a
+checkout with ``PYTHONPATH=src``.
 """
 
 import subprocess
+import sys
 
 
 def show(args):
     print("$ " + " ".join(args))
-    proc = subprocess.run(args, capture_output=True, text=True)
+    argv = [sys.executable, "-m", "quadricpoints.cli", *args[1:]]
+    proc = subprocess.run(argv, capture_output=True, text=True)
     print(proc.stdout.rstrip())
     if proc.returncode != 0:
         print(f"  (exit code {proc.returncode}: {proc.stderr.strip()})")

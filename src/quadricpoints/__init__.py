@@ -32,7 +32,6 @@ from .expsums import (
     gauss_sum_prime_power,
     local_factor_closed,
     local_factor_direct,
-    local_factor_prime_power,
     twisted_gauss_sum,
     twisted_gauss_sum_prime_power,
     weyl_sum,
@@ -106,7 +105,6 @@ __all__ = [
     "twisted_gauss_sum_prime_power",
     "form_exp_sum",
     "local_factor_direct",
-    "local_factor_prime_power",
     "local_factor_closed",
     "weyl_sum",
     "arc_integral_direct",

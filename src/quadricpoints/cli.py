@@ -92,7 +92,10 @@ def _split_elements(s: str) -> list[str]:
         else:
             cur.append(ch)
     out.append("".join(cur))
-    return [t for t in (t.strip() for t in out) if t]
+    items = [t.strip() for t in out]
+    if "" in items:
+        raise UsageError(f"empty item {items.index('') + 1} in {s!r}")
+    return items
 
 
 def _build_ctx(args) -> FieldCtx:

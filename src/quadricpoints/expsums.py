@@ -8,9 +8,9 @@ the closed forms only.
 
 The hierarchy, for a diagonal form f = a_1 X_1^2 + ... + a_n X_n^2:
 
-* ``gauss_sum(r)``                 tau_r = sum psi(x^2 / r) over residues
-* ``twisted_gauss_sum(a, r)``      same with numerator a
-* ``form_exp_sum(f, a, r)``        the n-variable complete sum
+* ``twisted_gauss_sum(a, r)``      sum psi(a x^2 / r) over residues x
+* ``gauss_sum(r)``                 tau_r, the twisted sum at a = 1
+* ``form_exp_sum(f, a, r)``        the n-variable complete sum, as a product
 * ``local_factor_direct(f, r)``    summed over numerators coprime to r
 * ``weyl_sum(f, a, r, tail, P)``   S(alpha) over the height box |x| < q^P
 * ``arc_integral_direct(f, r, P)`` integral of S over the arc ball at a/r
@@ -18,6 +18,7 @@ The hierarchy, for a diagonal form f = a_1 X_1^2 + ... + a_n X_n^2:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -109,14 +110,19 @@ def _require_monic(r: Poly) -> None:
         raise ValueError("modulus must be monic")
 
 
-def gauss_sum(r: Poly) -> CycInt:
-    """tau_r = sum over |x| < |r| of psi(x^2 / r), term by term."""
+def twisted_gauss_sum(a: Poly, r: Poly) -> CycInt:
+    """sum over |x| < |r| of psi(a x^2 / r);  a need not be coprime to r."""
     _require_monic(r)
     ctx = r.ctx
     counts = [0] * ctx.p
     for x in enumerate_below(ctx, len(r.coeffs) - 1):
-        counts[ratio_char_exponent(x * x, r)] += 1
+        counts[ratio_char_exponent(a * (x * x), r)] += 1
     return CycInt.from_exponent_counts(ctx.p, counts)
+
+
+def gauss_sum(r: Poly) -> CycInt:
+    """tau_r = sum over |x| < |r| of psi(x^2 / r): the twisted sum at a = 1."""
+    return twisted_gauss_sum(Poly.one(r.ctx), r)
 
 
 def gauss_sum_prime_power(pi: Poly, k: int) -> CycInt:
@@ -137,16 +143,6 @@ def gauss_sum_prime_power(pi: Poly, k: int) -> CycInt:
     return gauss_sum(pi) * (size ** ((k - 1) // 2))
 
 
-def twisted_gauss_sum(a: Poly, r: Poly) -> CycInt:
-    """sum over |x| < |r| of psi(a x^2 / r);  a need not be coprime to r."""
-    _require_monic(r)
-    ctx = r.ctx
-    counts = [0] * ctx.p
-    for x in enumerate_below(ctx, len(r.coeffs) - 1):
-        counts[ratio_char_exponent(a * x * x, r)] += 1
-    return CycInt.from_exponent_counts(ctx.p, counts)
-
-
 def twisted_gauss_sum_prime_power(a: Poly, pi: Poly, k: int) -> CycInt:
     """(a / pi)^k * tau_(pi^k); requires gcd(a, pi) = 1."""
     if k < 1:
@@ -163,52 +159,17 @@ def twisted_gauss_sum_prime_power(a: Poly, pi: Poly, k: int) -> CycInt:
 # complete sums of the form
 
 
-def _exponent_tables(f: QuadForm, a: Poly, r: Poly) -> list[list[int]]:
-    """Per variable, the list of psi-exponents of a*a_i*x^2/r over residues x."""
-    ctx = f.ctx
-    residues = list(enumerate_below(ctx, len(r.coeffs) - 1))
-    tables = []
-    for ai in f.coeffs:
-        scaled = a.scale(ai)
-        tables.append([ratio_char_exponent(scaled * x * x, r) for x in residues])
-    return tables
-
-
 def form_exp_sum(f: QuadForm, a: Poly, r: Poly) -> CycInt:
     """The complete n-variable sum  sum psi(a f(b) / r)  over residue tuples b.
 
-    Enumerates every tuple; the per-coordinate character exponents are
-    precomputed, so a term costs n table lookups and a mod-p sum.
+    The character of a diagonal form splits over the coordinates, so the
+    sum is the product of one twisted Gauss sum per coefficient, and equal
+    coefficients give a power of one sum.
     """
-    _require_monic(r)
-    ctx = f.ctx
-    p = ctx.p
-    tables = _exponent_tables(f, a, r)
-    counts = [0] * p
-    size = len(tables[0])
-    idx = [0] * f.n
-    total = size**f.n
-    # odometer over residue tuples, maintaining the partial exponent sum
-    exps = [0] * (f.n + 1)
-    k = 0
-    counts_local = counts
-    while True:
-        while k < f.n:
-            exps[k + 1] = (exps[k] + tables[k][idx[k]]) % p
-            k += 1
-        counts_local[exps[f.n]] += 1
-        k = f.n - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < size:
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            break
-    if sum(counts) != total:
-        raise RuntimeError("the odometer missed residue tuples")
-    return CycInt.from_exponent_counts(p, counts)
+    out = CycInt.from_int(f.ctx.p, 1)
+    for c, k in Counter(f.coeffs).items():
+        out = out * twisted_gauss_sum(a.scale(c), r) ** k
+    return out
 
 
 def local_factor_direct(f: QuadForm, r: Poly) -> CycInt:
@@ -220,28 +181,6 @@ def local_factor_direct(f: QuadForm, r: Poly) -> CycInt:
         if poly_gcd(a, r).is_one():
             total = total + form_exp_sum(f, a, r)
     return total
-
-
-def local_factor_prime_power(f: QuadForm, pi: Poly, k: int) -> int:
-    """Closed form of S_(pi^k)(f); an ordinary integer in every case.
-
-    Even n:  (signed-det / pi)^k * phi(pi^k) * |pi^k|^(n/2).
-    Odd n:   phi(pi^k) * |pi^k|^(n/2) for even k, else 0.
-    """
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
-    if not is_irreducible(pi) or not pi.is_monic():
-        raise ValueError("base must be monic irreducible")
-    ctx = f.ctx
-    d = len(pi.coeffs) - 1
-    size = ctx.q**d
-    phi = (size - 1) * size ** (k - 1)
-    if f.n % 2 == 0:
-        sym = _legendre(Poly.constant(ctx, f.signed_det_unit()), pi) ** (k % 2)
-        return sym * phi * size ** (k * f.n // 2)
-    if k % 2 == 0:
-        return phi * size ** (k * f.n // 2)
-    return 0
 
 
 def local_factor_closed(f: QuadForm, r: Poly, fac: Factorization | None = None) -> int:

@@ -1,16 +1,18 @@
 """Bundled identity checks, runnable from the command line.
 
 Each suite returns a list of instance records ``{"id": ..., "ok": ...}``
-in a deterministic order; a suite passes when every instance does.  The
+in a deterministic order; a suite passes when every instance does.  A
+failing record also carries every side of its comparison by name.  The
 suites deliberately re-derive everything through the slow direct
 evaluators, so they are small grids, not benchmarks.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from .characters import LaurentTail
+from .characters import LaurentTail, ratio_char_exponent
 from .cyclotomic import CycInt
 from .expsums import (
     QuadForm,
@@ -46,6 +48,24 @@ from .polyring import (
 )
 
 
+def _json_value(v):
+    if isinstance(v, CycInt):
+        return v.to_json()
+    if isinstance(v, Fraction):
+        return str(v)
+    return v
+
+
+def _record(rid: str, **sides) -> dict:
+    """The record of one identity: ok when all sides agree, which the
+    usual two-sided check names lhs and rhs.  A failing record carries
+    every side, so a report shows what disagreed."""
+    first, *rest = sides.values()
+    if all(v == first for v in rest):
+        return {"id": rid, "ok": True}
+    return {"id": rid, "ok": False, **{k: _json_value(v) for k, v in sides.items()}}
+
+
 def _first_nonsquare(ctx: FieldCtx) -> int:
     return next(u for u in ctx.units() if not ctx.is_square_unit(u))
 
@@ -64,8 +84,8 @@ def suite_gauss(ctx: FieldCtx, maxdeg: int = 2, maxk: int = 3) -> list[dict]:
     for d in range(1, maxdeg + 1):
         for pi in irreducibles(ctx, d):
             for k in range(1, maxk + 1):
-                ok = gauss_sum(pi**k) == gauss_sum_prime_power(pi, k)
-                out.append({"id": f"tau[{pi},k={k}]", "ok": ok})
+                lhs, rhs = gauss_sum(pi**k), gauss_sum_prime_power(pi, k)
+                out.append(_record(f"tau[{pi},k={k}]", lhs=lhs, rhs=rhs))
     # twisted variants at a degree-one base
     t = Poly.gen(ctx)
     for k in (1, 2):
@@ -73,8 +93,8 @@ def suite_gauss(ctx: FieldCtx, maxdeg: int = 2, maxk: int = 3) -> list[dict]:
         for a in enumerate_below(ctx, k):
             if not poly_gcd(a, r).is_one() or a.is_zero():
                 continue
-            ok = twisted_gauss_sum(a, r) == twisted_gauss_sum_prime_power(a, t, k)
-            out.append({"id": f"twisted[a={a},r={r}]", "ok": ok})
+            lhs, rhs = twisted_gauss_sum(a, r), twisted_gauss_sum_prime_power(a, t, k)
+            out.append(_record(f"twisted[a={a},r={r}]", lhs=lhs, rhs=rhs))
     return out
 
 
@@ -84,25 +104,26 @@ def suite_local(ctx: FieldCtx, nmax: int = 4, maxdeg: int = 2) -> list[dict]:
     for f in forms:
         for d in range(0, maxdeg + 1):
             for r in enumerate_monic(ctx, d):
-                ok = local_factor_direct(f, r) == local_factor_closed(f, r)
-                out.append({"id": f"S_r[{f.coeffs},r={r}]", "ok": ok})
+                lhs, rhs = local_factor_direct(f, r), local_factor_closed(f, r)
+                out.append(_record(f"S_r[{f.coeffs},r={r}]", lhs=lhs, rhs=rhs))
     # multiplicativity over a coprime pair
     t = Poly.gen(ctx)
     r1, r2 = t, t + Poly.one(ctx)
     for f in forms:
         lhs = local_factor_closed(f, r1 * r2)
         rhs = local_factor_closed(f, r1) * local_factor_closed(f, r2)
-        out.append({"id": f"S_mult[{f.coeffs}]", "ok": lhs == rhs})
-    # product structure of the complete sum
-    one = Poly.one(ctx)
+        out.append(_record(f"S_mult[{f.coeffs}]", lhs=lhs, rhs=rhs))
+    # the complete sum term by term over residue tuples against its product form
+    residues = list(enumerate_below(ctx, r2.deg))
     for f in forms:
         if f.n > 3:
             continue
-        lhs = form_exp_sum(f, one, r2)
-        rhs = CycInt.from_int(ctx.p, 1)
-        for ai in f.coeffs:
-            rhs = rhs * twisted_gauss_sum(one.scale(ai), r2)
-        out.append({"id": f"S_prod[{f.coeffs}]", "ok": lhs == rhs})
+        counts = [0] * ctx.p
+        for xs in itertools.product(residues, repeat=f.n):
+            counts[ratio_char_exponent(f.value(xs), r2)] += 1
+        lhs = CycInt.from_exponent_counts(ctx.p, counts)
+        rhs = form_exp_sum(f, Poly.one(ctx), r2)
+        out.append(_record(f"S_prod[{f.coeffs}]", lhs=lhs, rhs=rhs))
     return out
 
 
@@ -131,13 +152,8 @@ def suite_weyl(ctx: FieldCtx, n: int = 3, pmax: int = 2) -> list[dict]:
                     s_theta = s_theta_cache[tail]
                     for a, s_ar in complete.items():
                         lhs = weyl_sum(f, a, r, tail, P) * (ctx.q ** (n * rho))
-                        rhs = s_ar * s_theta
-                        out.append(
-                            {
-                                "id": f"weyl[a={a},r={r},P={P},tail@{tail.min_index()}]",
-                                "ok": lhs == rhs,
-                            }
-                        )
+                        rid = f"weyl[a={a},r={r},P={P},tail@{tail.min_index()}]"
+                        out.append(_record(rid, lhs=lhs, rhs=s_ar * s_theta))
     return out
 
 
@@ -148,9 +164,9 @@ def suite_arcs(ctx: FieldCtx, nmax: int = 3, pmax: int = 2) -> list[dict]:
         for P in range(1, pmax + 1):
             for rho in range(0, P + 1):
                 for r in enumerate_monic(ctx, rho):
-                    direct = arc_integral_direct(f, r, P).to_fraction(ctx.q)
-                    ok = direct == arc_integral_closed(f, r, P)
-                    out.append({"id": f"arc[n={n},r={r},P={P}]", "ok": ok})
+                    lhs = arc_integral_direct(f, r, P).to_fraction(ctx.q)
+                    rhs = arc_integral_closed(f, r, P)
+                    out.append(_record(f"arc[n={n},r={r},P={P}]", lhs=lhs, rhs=rhs))
     return out
 
 
@@ -160,9 +176,8 @@ def suite_counts(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = 10**
         if f.n < 3:
             continue
         for P in range(1, pmax + 1):
-            b = brute_count(f, P, budget)
-            ok = b == count_exact(f, P) == count_circle(f, P)
-            out.append({"id": f"N[{f.coeffs},P={P}]", "ok": ok})
+            b, e, c = brute_count(f, P, budget), count_exact(f, P), count_circle(f, P)
+            out.append(_record(f"N[{f.coeffs},P={P}]", brute=b, exact=e, circle=c))
     return out
 
 
@@ -173,15 +188,15 @@ def suite_mor(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = 10**8) 
             continue
         for P in range(1, pmax + 1):
             closed = morphism_count(f, P)
-            ok = closed == brute_morphism_count(f, P, budget)
+            brute = brute_morphism_count(f, P, budget)
             derived = morphism_count_from_counts(
                 count_exact(f, P + 1),
                 count_exact(f, P),
                 count_exact(f, P - 1) if P > 1 else 1,
                 ctx.q,
             )
-            ok = ok and closed == derived
-            out.append({"id": f"mor[{f.coeffs},P={P}]", "ok": ok})
+            rid = f"mor[{f.coeffs},P={P}]"
+            out.append(_record(rid, closed=closed, brute=brute, derived=derived))
     return out
 
 
@@ -190,11 +205,11 @@ def suite_phis(ctx: FieldCtx, maxdeg: int = 3, mmax: int = 4) -> list[dict]:
     q = ctx.q
     for rho in range(0, maxdeg + 1):
         total = sum(euler_phi(r) for r in enumerate_monic(ctx, rho))
-        out.append({"id": f"phi_deg[{rho}]", "ok": total == phi_degree_sum(q, rho)})
+        out.append(_record(f"phi_deg[{rho}]", lhs=total, rhs=phi_degree_sum(q, rho)))
     for rho in range(0, maxdeg + 1):
         mu_total = sum(moebius(r) for r in enumerate_monic(ctx, rho))
         expected = 1 if rho == 0 else (-q if rho == 1 else 0)
-        out.append({"id": f"mu_deg[{rho}]", "ok": mu_total == expected})
+        out.append(_record(f"mu_deg[{rho}]", lhs=mu_total, rhs=expected))
     for signed in (False, True):
         for c in range(0, 4):
             for M in range(0, mmax + 1):
@@ -202,10 +217,8 @@ def suite_phis(ctx: FieldCtx, maxdeg: int = 3, mmax: int = 4) -> list[dict]:
                 for rho in range(M + 1):
                     term = Fraction(phi_degree_sum(q, rho), q ** (rho * c))
                     stratum += -term if (signed and rho % 2) else term
-                ok = stratum == phi_power_sum(q, M, c, signed)
-                out.append(
-                    {"id": f"phi_pow[c={c},M={M},{'signed' if signed else 'plain'}]", "ok": ok}
-                )
+                rid = f"phi_pow[c={c},M={M},{'signed' if signed else 'plain'}]"
+                out.append(_record(rid, lhs=stratum, rhs=phi_power_sum(q, M, c, signed)))
     return out
 
 

@@ -1,6 +1,7 @@
 """End-to-end exercising of the command-line interface via main(argv)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -60,6 +61,10 @@ def test_usage_errors(capsys):
         ("count", "--p", "3", "--coeffs", "1,0,1", "--P", "1"),  # zero coefficient
         ("count", "--p", "3", "--coeffs", "1,2", "--P", "1", "--method", "exact"),
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P-range", "nonsense"),
+        ("count", "--p", "3", "--coeffs", "1,,1,1", "--P", "1"),  # empty item
+        ("count", "--p", "3", "--coeffs", "1,1,1,", "--P", "1"),  # trailing comma
+        ("count", "--p", "3", "--gram", "1,0;0,,1", "--P", "1"),  # empty item in a row
+        ("count", "--p", "3", "--gram", "1,0;;0,1", "--P", "1"),  # empty row
         ("verify", "nosuch", "--p", "3"),
     ]
     for argv in cases:
@@ -228,3 +233,28 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "gauss", "--p", "3")
     assert code == 1
     assert json.loads(out)["failed"] == 1
+
+
+def test_failing_verify_record_carries_both_sides(capsys, monkeypatch):
+    import quadricpoints.verify as verify_mod
+
+    closed = verify_mod.local_factor_closed
+    monkeypatch.setattr(verify_mod, "local_factor_closed", lambda f, r: closed(f, r) + 1)
+    code, out, _ = run(capsys, "verify", "local", "--p", "3", "--nmax", "2", "--maxdeg", "1")
+    assert code == 1
+    records = {rec["id"]: rec for rec in json.loads(out)["data"]}
+    # S_1 = 1 directly, and the broken closed side says 2
+    assert records["S_r[(1,),r=1]"] == {
+        "suite": "local",
+        "id": "S_r[(1,),r=1]",
+        "ok": False,
+        "lhs": {"p": 3, "coeffs": [1, 0]},
+        "rhs": 2,
+    }
+    # the product-form check does not use the closed side and keeps its passing bytes
+    assert records["S_prod[(1, 1)]"] == {"suite": "local", "id": "S_prod[(1, 1)]", "ok": True}
+    # a check of more than two values carries each by name; a Fraction as its string
+    assert verify_mod._record("m", closed=3, brute=4, derived=3) == {
+        "id": "m", "ok": False, "closed": 3, "brute": 4, "derived": 3,
+    }
+    assert verify_mod._record("a", lhs=Fraction(1, 3), rhs=Fraction(1, 9))["lhs"] == "1/3"

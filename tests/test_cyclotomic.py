@@ -4,8 +4,20 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quadricpoints import CycInt, QScaled
+
+PRIMES = st.sampled_from((3, 5, 7))
+
+
+@st.composite
+def cycints(draw, count):
+    """count elements of Z[zeta_p] for one drawn p in {3, 5, 7}."""
+    p = draw(PRIMES)
+    coords = st.lists(st.integers(-20, 20), min_size=p - 1, max_size=p - 1)
+    return [CycInt(p, draw(coords)) for _ in range(count)]
 
 
 def test_ring_operations():
@@ -100,3 +112,35 @@ def test_qscaled():
 def test_mismatched_roots_rejected():
     with pytest.raises(ValueError):
         CycInt.from_int(3, 1) + CycInt.from_int(5, 1)
+
+
+@given(cycints(3))
+def test_ring_laws(xyz):
+    x, y, z = xyz
+    zero, one = CycInt.zero(x.p), CycInt.from_int(x.p, 1)
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    assert x + zero == x
+    assert x + (-x) == zero
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * one == x
+    assert x * (y + z) == x * y + x * z
+
+
+@given(cycints(1), st.integers(0, 9))
+def test_power_is_repeated_product(xs, k):
+    (x,) = xs
+    prod = CycInt.from_int(x.p, 1)
+    for _ in range(k):
+        prod = prod * x
+    assert x**k == prod
+
+
+@given(PRIMES.flatmap(lambda p: st.lists(st.integers(0, 50), min_size=p, max_size=p)))
+def test_from_exponent_counts_sums_root_powers(counts):
+    p = len(counts)
+    total = CycInt.zero(p)
+    for k, c in enumerate(counts):
+        total = total + CycInt.root_power(p, k) * c
+    assert CycInt.from_exponent_counts(p, counts) == total

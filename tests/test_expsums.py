@@ -1,5 +1,6 @@
 """Gauss sums, complete quadratic sums, Weyl sums, and arc integrals."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,16 +12,17 @@ from quadricpoints import (
     QuadForm,
     arc_integral_closed,
     arc_integral_direct,
+    enumerate_below,
     form_exp_sum,
     gauss_sum,
     gauss_sum_prime_power,
     local_factor_closed,
     local_factor_direct,
-    local_factor_prime_power,
     twisted_gauss_sum,
     twisted_gauss_sum_prime_power,
     weyl_sum,
 )
+from quadricpoints.characters import ratio_char_exponent
 from quadricpoints.expsums import qpow
 
 
@@ -118,19 +120,32 @@ def test_local_factor_prime_power_matches_direct(F3):
     pi = t * t + Poly.one(F3)  # irreducible quadratic
     f4 = QuadForm(F3, (1, 1, 1, 1))
     f3 = QuadForm(F3, (1, 1, 1))
-    assert local_factor_direct(f4, pi) == CycInt.from_int(3, local_factor_prime_power(f4, pi, 1))
-    assert local_factor_direct(f3, pi) == CycInt.from_int(3, local_factor_prime_power(f3, pi, 1))
+    for r in (pi, pi * pi):
+        assert local_factor_direct(f4, r) == CycInt.from_int(3, local_factor_closed(f4, r))
+        assert local_factor_direct(f3, r) == CycInt.from_int(3, local_factor_closed(f3, r))
 
 
-def test_form_exp_sum_splits_into_twisted_factors(F3):
-    t = Poly.gen(F3)
-    f = QuadForm(F3, (1, 2, 1))
-    for r in (t, t * t):
-        for a in (Poly.one(F3), Poly.constant(F3, 2)):
-            prod = CycInt.from_int(3, 1)
-            for c in f.coeffs:
-                prod = prod * twisted_gauss_sum(a * Poly.constant(F3, c), r)
-            assert form_exp_sum(f, a, r) == prod
+def _tuple_sum(f, a, r):
+    """The complete sum term by term over residue tuples: the reference
+    that the product form of form_exp_sum must reproduce."""
+    counts = [0] * f.ctx.p
+    residues = list(enumerate_below(f.ctx, r.deg))
+    for xs in itertools.product(residues, repeat=f.n):
+        counts[ratio_char_exponent(a * f.value(xs), r)] += 1
+    return CycInt.from_exponent_counts(f.ctx.p, counts)
+
+
+def test_form_exp_sum_splits_into_twisted_factors(F3, F9):
+    for ctx, n, maxdeg in ((F3, 3, 2), (F9, 3, 1), (F9, 2, 2)):
+        c = next(u for u in ctx.units() if not ctx.is_square_unit(u))
+        f = QuadForm(ctx, (1, c, c)[:n])  # both square classes, c repeated when n = 3
+        one, t = Poly.one(ctx), Poly.gen(ctx)
+        moduli = [r for r in (one, t, t + one, t * t, t * t + one) if r.deg <= maxdeg]
+        # a = 0 and numerators sharing a factor with r, as well as units
+        numerators = (Poly.zero(ctx), one, Poly.constant(ctx, c), t, t + one)
+        for r in moduli:
+            for a in numerators:
+                assert form_exp_sum(f, a, r) == _tuple_sum(f, a, r), (f.coeffs, a, r)
 
 
 def test_weyl_sum_at_zero_is_box_size(F3):
