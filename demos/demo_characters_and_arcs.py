@@ -11,6 +11,7 @@ and the closed arc-integral values fall out with no error terms.
 from fractions import Fraction
 
 from quadricpoints import (
+    CycInt,
     FieldCtx,
     LaurentTail,
     Poly,
@@ -19,17 +20,29 @@ from quadricpoints import (
     arc_integral_direct,
     ball_integral,
     enumerate_below,
-    psi_tail,
 )
+from quadricpoints.characters import expansion_tail, tail_char_exponent
 
 F3 = FieldCtx(3)
 t = Poly.gen(F3)
 
+
+def psi(tail, x):
+    """psi(alpha * x) for alpha with the given tail, as an exact CycInt."""
+    return CycInt.root_power(3, tail_char_exponent(tail, x))
+
+
 # psi pairs a tail with a polynomial through the t^-1 coefficient of
 # their product; a single tail entry at index i sees coefficient i-1
 tail = LaurentTail.single(F3, 2, 1)
-print("psi(tail, t) =", psi_tail(tail, t))  # reads coefficient 1 of t
-print("psi(tail, 1) =", psi_tail(tail, Poly.one(F3)))  # blind to the constant
+print("psi(tail, t) =", psi(tail, t))  # reads coefficient 1 of t
+print("psi(tail, 1) =", psi(tail, Poly.one(F3)))  # blind to the constant
+
+# a point alpha = a/r + theta is one tail: the expansion of a/r at
+# infinity, cut at the depth the integrand reads, plus theta's tail
+r = t + Poly.one(F3)
+alpha = expansion_tail(Poly.one(F3), r, 3) + tail
+print("1/(t+1) + t^-2 has tail", alpha)
 
 # orthogonality: integrating psi(alpha x) over the ball |alpha| < q^-M
 # detects whether deg x < M, scaled by the measure of the ball
@@ -37,7 +50,7 @@ M = 2
 print(f"\nball integrals of psi(alpha x) over |alpha| < q^-{M}:")
 for x in list(enumerate_below(F3, 3))[:8]:
     depth = (0 if x.is_zero() else x.deg) + 1
-    val = ball_integral(F3, -M, depth, lambda tl, x=x: psi_tail(tl, x))
+    val = ball_integral(F3, -M, depth, lambda tl, x=x: psi(tl, x))
     print(f"  x = {str(x):8s} integral = {val.to_fraction(3)}")
 
 # arc integrals: for a quadratic form, the integral of the Weyl sum

@@ -16,10 +16,10 @@ print("3 + 5 =", F7.add(3, 5))
 print("3 * 5 =", F7.mul(3, 5))
 print("1 / 3 =", F7.inv(3), "  check:", F7.mul(3, F7.inv(3)))
 
-# squares: exactly half of the units are squares, and sqrt finds a root
+# squares: exactly half of the units are squares
 squares = [u for u in F7.units() if F7.is_square_unit(u)]
 print("squares in F_7:", squares)
-print("sqrt(2) =", F7.sqrt_unit(2), "  sqrt(3) =", F7.sqrt_unit(3))
+print("roots of 2:", [b for b in F7.units() if F7.mul(b, b) == 2])
 
 # an extension field: F_9 = F_3[u]/(u^2 + 1); the modulus is found
 # automatically (first monic irreducible in encoding order)

@@ -25,7 +25,7 @@ one = Poly.one(F3)
 # the basic quadratic Gauss sum modulo t: sum of zeta^(x^2) over x mod t
 tau = gauss_sum(t)
 print("tau_t =", tau)
-print("tau_t as a complex number:", tau.complex_value())
+print("tau_t in the basis 1, zeta:", tau.coeffs)
 
 # its square is rational: tau^2 = chi(-1) q = -3 here
 print("tau_t^2 =", tau * tau, "  (equals -q)")

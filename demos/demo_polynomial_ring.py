@@ -16,7 +16,6 @@ from quadricpoints import (
     irreducibles,
     jacobi_symbol,
     moebius,
-    poly_square_root,
 )
 
 F3 = FieldCtx(3)
@@ -30,7 +29,10 @@ fac = factorize(f)
 print("unit:", fac.unit)
 for pi, k in fac.factors:
     print(f"  ({pi})^{k}")
-print("re-expanded:", fac.expand(F3))
+expanded = Poly.constant(F3, fac.unit)
+for pi, k in fac.factors:
+    expanded = expanded * pi**k
+print("re-expanded:", expanded)
 
 # factorization is deterministic: the randomized splitting is seeded
 # from the input, so repeated calls give the same ordered answer
@@ -55,8 +57,7 @@ for enc in (1, 2, 3, 5):
     a = poly_from_encoding(F3, enc)
     print(f"  ({a} / {pi}) =", jacobi_symbol(a, pi))
 
-# perfect squares are recognized and their roots extracted exactly
+# a monic polynomial is a square exactly when every multiplicity is even
 square = (t * t + t + one) ** 2
-root = poly_square_root(square)
-print("\nsquare root of", square, "is", root)
-print("square root of t *", square, "is", poly_square_root(t * square))
+print("\nis", square, "a square?", factorize(square).is_square())
+print("is t *", square, "a square?", factorize(t * square).is_square())

@@ -20,7 +20,7 @@ Layers, bottom to top:
 * :mod:`quadricpoints.cli`        - ``quadricpoints`` command-line tool
 """
 
-from .characters import LaurentTail, ball_integral, laurent_coefficient, psi_ratio, psi_tail
+from .characters import LaurentTail, ball_integral
 from .cyclotomic import CycInt, QScaled
 from .expsums import (
     CaseTag,
@@ -38,7 +38,6 @@ from .expsums import (
 )
 from .field import FieldCtx
 from .formulas import (
-    CountReport,
     classify,
     count_circle,
     count_exact,
@@ -70,7 +69,6 @@ from .polyring import (
     moebius,
     poly_from_encoding,
     poly_gcd,
-    poly_square_root,
 )
 from .verify import SUITES
 
@@ -86,16 +84,12 @@ __all__ = [
     "euler_phi",
     "moebius",
     "jacobi_symbol",
-    "poly_square_root",
     "enumerate_below",
     "enumerate_monic",
     "irreducibles",
     "CycInt",
     "QScaled",
     "LaurentTail",
-    "laurent_coefficient",
-    "psi_ratio",
-    "psi_tail",
     "ball_integral",
     "QuadForm",
     "CaseTag",
@@ -119,7 +113,6 @@ __all__ = [
     "low_stratum_sum",
     "phi_degree_sum",
     "phi_power_sum",
-    "CountReport",
     "brute_count",
     "brute_primitive_count",
     "brute_morphism_count",

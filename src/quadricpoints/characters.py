@@ -7,7 +7,10 @@ depends on a rational x/r only through finitely many tail coefficients.
 
 A :class:`LaurentTail` is a finitely supported map {i >= 1: b_i} holding
 the principal part  sum b_i t^(-i)  of an expansion; everything the
-library integrates is a function of such a tail.  Ball integrals over
+library integrates is a function of such a tail.  A point
+alpha = a/r + theta is one tail too: ``expansion_tail(a, r, depth)``
+plus the tail of theta, and ``tail_char_exponent`` is the one way a
+term psi(alpha * v) is read.  Ball integrals over
 |theta| < q**M with the measure normalized by mu(integers) = 1 reduce to
 finite averages of tail evaluations, so they are exact elements of
 Z[zeta_p] / q**k, represented as :class:`~quadricpoints.cyclotomic.QScaled`.
@@ -62,6 +65,16 @@ class LaurentTail:
         """Smallest supported index; 0 for the zero tail."""
         return min(self.entries) if self.entries else 0
 
+    def __add__(self, other: "LaurentTail") -> "LaurentTail":
+        """Entrywise sum in F_q: the tail of the sum of two expansions."""
+        if self.ctx != other.ctx:
+            raise ValueError("mixed coefficient fields")
+        ctx = self.ctx
+        out = dict(self.entries)
+        for i, b in other.entries.items():
+            out[i] = ctx.add(out.get(i, 0), b)
+        return LaurentTail(ctx, out)
+
     def __eq__(self, other):
         return (
             isinstance(other, LaurentTail)
@@ -77,42 +90,27 @@ class LaurentTail:
         return f"LaurentTail({body or '0'})"
 
 
-def laurent_coefficient(x: Poly, r: Poly, j: int) -> int:
-    """Coefficient of t^j, j <= -1, in the expansion of x/r at infinity.
-
-    Computed by exact long division: the sought coefficient equals the
-    constant coefficient of (x * t^(-j)) div r, because the discarded
-    remainder only contributes to strictly deeper tail positions.
-    """
-    if j > -1:
-        raise ValueError("only principal-part coefficients live here")
-    if r.is_zero():
-        raise ZeroDivisionError("expansion of x/0")
-    shifted = x * Poly.t_power(x.ctx, -j)
-    quot = shifted // r
-    return quot.coeff(0)
-
-
 def expansion_tail(x: Poly, r: Poly, depth: int) -> LaurentTail:
-    """The tail of x/r truncated to indices <= depth."""
-    entries = {i: laurent_coefficient(x, r, -i) for i in range(1, depth + 1)}
-    return LaurentTail(x.ctx, entries)
+    """The tail of x/r truncated to indices <= depth, by one long division.
+
+    Entry i is the coefficient of t^(depth - i) in (x * t^depth) div r:
+    the discarded remainder only reaches indices deeper than depth.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    quot = Poly(x.ctx, (0,) * depth + x.coeffs) // r
+    return LaurentTail(x.ctx, {i: quot.coeff(depth - i) for i in range(1, depth + 1)})
 
 
 def ratio_char_exponent(x: Poly, r: Poly) -> int:
     """Exponent k with psi(x/r) = zeta_p^k, i.e. Tr of the t^(-1) coefficient."""
-    return x.ctx.char_exponent(laurent_coefficient(x, r, -1))
-
-
-def psi_ratio(x: Poly, r: Poly) -> CycInt:
-    """psi(x/r) as an exact cyclotomic integer."""
-    return CycInt.root_power(x.ctx.p, ratio_char_exponent(x, r))
+    return x.ctx.char_exponent(expansion_tail(x, r, 1).entry(1))
 
 
 def tail_char_exponent(tail: LaurentTail, v: Poly) -> int:
-    """Exponent of psi(theta * v) for theta with the given tail.
+    """Exponent of psi(alpha * v) for alpha with the given tail.
 
-    The t^(-1) coefficient of theta*v is sum(b_i * v_{i-1}), a finite
+    The t^(-1) coefficient of alpha*v is sum(b_i * v_{i-1}), a finite
     dot product of the tail against the low coefficients of v.
     """
     ctx = tail.ctx
@@ -120,10 +118,6 @@ def tail_char_exponent(tail: LaurentTail, v: Poly) -> int:
     for i, b in tail.entries.items():
         acc = ctx.add(acc, ctx.mul(b, v.coeff(i - 1)))
     return ctx.char_exponent(acc)
-
-
-def psi_tail(tail: LaurentTail, v: Poly) -> CycInt:
-    return CycInt.root_power(tail.ctx.p, tail_char_exponent(tail, v))
 
 
 def tails_supported(ctx: FieldCtx, lo: int, hi: int):

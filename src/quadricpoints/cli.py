@@ -28,7 +28,6 @@ from . import oracle
 from .expsums import QuadForm
 from .field import FieldCtx
 from .formulas import (
-    CountReport,
     classify,
     count_circle,
     count_exact,
@@ -175,6 +174,13 @@ def _resolve_budget(args) -> int:
     return oracle.DEFAULT_BUDGET
 
 
+def _coeffs_json(f: QuadForm) -> list:
+    """The form's coefficients as written in JSON: ints for nu = 1, else coordinate lists."""
+    if f.ctx.nu == 1:
+        return list(f.coeffs)
+    return [list(f.ctx.coeffs(a)) for a in f.coeffs]
+
+
 @dataclass
 class JobSpec:
     """Validated description of one CLI invocation."""
@@ -196,10 +202,7 @@ class JobSpec:
             "q": self.ctx.q,
         }
         if self.form is not None:
-            if self.ctx.nu == 1:
-                out["coeffs"] = list(self.form.coeffs)
-            else:
-                out["coeffs"] = [list(self.ctx.coeffs(a)) for a in self.form.coeffs]
+            out["coeffs"] = _coeffs_json(self.form)
             out["case"] = classify(self.form).value
         if self.P_values:
             out["P"] = self.P_values
@@ -226,11 +229,23 @@ def _run_cells(tasks, jobs: int):
         return [fut.result() for fut in futures]
 
 
+def _count_row(f: QuadForm, P: int, method: str, budget: int) -> dict:
+    """One ``count`` data row."""
+    value = _count(method, f, P, budget)
+    return {
+        "q": f.ctx.q,
+        "n": f.n,
+        "coeffs": _coeffs_json(f),
+        "case": classify(f).value,
+        "P": P,
+        "method": METHODS[method][0],
+        "value": value,
+    }
+
+
 def cmd_count(spec: JobSpec) -> dict:
     tasks = [
-        lambda P=P, m=m: CountReport.build(
-            spec.form, P, METHODS[m][0], _count(m, spec.form, P, spec.budget)
-        ).to_json_dict()
+        lambda P=P, m=m: _count_row(spec.form, P, m, spec.budget)
         for P in spec.P_values
         for m in spec.methods
     ]
@@ -388,6 +403,7 @@ def _apply_q_flag(args) -> None:
     args.p, args.nu = p, nu
 
 
+#: verify suite -> the bound flags it takes
 _VERIFY_KW = {
     "gauss": ("maxdeg", "maxk"),
     "local": ("nmax", "maxdeg"),
@@ -433,11 +449,14 @@ def main(argv=None) -> int:
             budget=_resolve_budget(args),
             jobs=args.jobs,
         )
-        kwargs = {}
-        for name in _VERIFY_KW.get(args.suite, ()):
-            value = getattr(args, name, None)
-            if value is not None:
-                kwargs[name] = value
+        takes = _VERIFY_KW.get(args.suite, ())
+        bounds = sorted(set().union(*_VERIFY_KW.values()))
+        kwargs = {name: getattr(args, name) for name in bounds if getattr(args, name) is not None}
+        extra = [name for name in kwargs if name not in takes]
+        if extra and args.suite in _VERIFY_KW:
+            raise UsageError(
+                f"verify {args.suite} does not take --{', --'.join(extra)}; it takes --{', --'.join(takes)}"
+            )
         if args.suite in ("counts", "mor"):
             kwargs["budget"] = spec.budget
         payload = cmd_verify(spec, args.suite, kwargs)

@@ -13,7 +13,6 @@ in :mod:`quadricpoints.characters`.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,20 +128,8 @@ class CycInt:
             return None
         return self.coeffs[0]
 
-    def complex_value(self) -> complex:
-        """Floating shadow at zeta_p = exp(2*pi*i/p); for cross-checks only."""
-        z = cmath.exp(2j * cmath.pi / self.p)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
     def to_json(self) -> dict:
         return {"p": self.p, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CycInt":
-        return cls(int(data["p"]), data["coeffs"])
 
     def __repr__(self):
         return f"CycInt(p={self.p}, {list(self.coeffs)})"
@@ -165,6 +152,3 @@ class QScaled:
         if n is None:
             raise ValueError("value is not rational")
         return Fraction(n, q**self.qexp)
-
-    def complex_value(self, q: int) -> complex:
-        return self.num.complex_value() / q**self.qexp

@@ -14,6 +14,10 @@ The hierarchy, for a diagonal form f = a_1 X_1^2 + ... + a_n X_n^2:
 * ``local_factor_direct(f, r)``    summed over numerators coprime to r
 * ``weyl_sum(f, a, r, tail, P)``   S(alpha) over the height box |x| < q^P
 * ``arc_integral_direct(f, r, P)`` integral of S over the arc ball at a/r
+
+The direct evaluators read every term's character from one tail: alpha =
+a/r + theta is one :class:`~quadricpoints.characters.LaurentTail`, taken
+once per sum, and psi(alpha v) is a dot product of it against v.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .characters import LaurentTail, ball_integral, ratio_char_exponent, tail_char_exponent
+from .characters import LaurentTail, ball_integral, expansion_tail, tail_char_exponent
 from .cyclotomic import CycInt, QScaled
 from .field import FieldCtx
 from .polyring import (
@@ -114,9 +118,12 @@ def twisted_gauss_sum(a: Poly, r: Poly) -> CycInt:
     """sum over |x| < |r| of psi(a x^2 / r);  a need not be coprime to r."""
     _require_monic(r)
     ctx = r.ctx
+    rho = len(r.coeffs) - 1
+    # deg x^2 <= 2 rho - 2, so psi(a x^2 / r) reads tail indices <= 2 rho - 1
+    alpha = expansion_tail(a, r, max(2 * rho - 1, 0))
     counts = [0] * ctx.p
-    for x in enumerate_below(ctx, len(r.coeffs) - 1):
-        counts[ratio_char_exponent(a * (x * x), r)] += 1
+    for x in enumerate_below(ctx, rho):
+        counts[tail_char_exponent(alpha, x * x)] += 1
     return CycInt.from_exponent_counts(ctx.p, counts)
 
 
@@ -213,8 +220,9 @@ def weyl_sum(f: QuadForm, a: Poly, r: Poly, tail: LaurentTail, P: int) -> CycInt
     """S(alpha) = sum over x in F_q[t]^n, each |x_i| < q^P, of psi(alpha f(x)),
     at the point alpha = a/r + theta where theta has the given tail.
 
-    A term's exponent splits as psi(a f(x)/r) * psi(theta f(x)); both
-    parts are read off exactly.  S at alpha = 0 is q^(nP).
+    alpha is one tail, that of a/r plus that of theta; deg f(x) <= 2P - 2
+    on the box, so each term reads indices <= 2P - 1 of it.  S at
+    alpha = 0 is q^(nP).
     """
     _require_monic(r)
     if P < 1:
@@ -223,7 +231,7 @@ def weyl_sum(f: QuadForm, a: Poly, r: Poly, tail: LaurentTail, P: int) -> CycInt
     p = ctx.p
     xs = list(enumerate_below(ctx, P))
     values = [[(x * x).scale(ai) for x in xs] for ai in f.coeffs]
-    rational = not a.is_zero()
+    alpha = tail + expansion_tail(a, r, 2 * P - 1)
     counts = [0] * p
     idx = [0] * f.n
     partial = [Poly.zero(ctx)] * (f.n + 1)
@@ -233,11 +241,7 @@ def weyl_sum(f: QuadForm, a: Poly, r: Poly, tail: LaurentTail, P: int) -> CycInt
         while k < f.n:
             partial[k + 1] = partial[k] + values[k][idx[k]]
             k += 1
-        v = partial[f.n]
-        e = tail_char_exponent(tail, v)
-        if rational:
-            e = (e + ratio_char_exponent(a * v, r)) % p
-        counts[e] += 1
+        counts[tail_char_exponent(alpha, partial[f.n])] += 1
         k = f.n - 1
         while k >= 0:
             idx[k] += 1

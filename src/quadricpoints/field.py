@@ -211,15 +211,6 @@ class FieldCtx:
             raise ValueError("square class of zero is undefined here")
         return self.pow(a, (self.q - 1) // 2) == 1
 
-    def sqrt_unit(self, a: int):
-        """Smallest b with b*b == a, or None if a is not a square unit."""
-        if a == 0:
-            raise ValueError("expected a unit")
-        for b in self.units():
-            if self.mul(b, b) == a:
-                return b
-        return None
-
     # -- misc ---------------------------------------------------------------
 
     def __eq__(self, other):

@@ -15,7 +15,6 @@ oracles in :mod:`quadricpoints.oracle` confirm both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .expsums import CaseTag, QuadForm, arc_integral_closed, local_factor_closed, qpow
@@ -339,48 +338,3 @@ def low_stratum_sum(f: QuadForm, P: int) -> Fraction:
     sign = 1 if even_P else -1
     val -= sign * Fraction(q * q - 1) / (q * (1 + qpow(q, 2 - half))) * q ** (n * P // 2)
     return val
-
-
-# ---------------------------------------------------------------------------
-# reporting
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """One computed count, ready for canonical serialization."""
-
-    q: int
-    n: int
-    coeffs: tuple
-    case: str
-    P: int
-    method: str
-    value: int
-
-    @classmethod
-    def build(cls, f: QuadForm, P: int, method: str, value: int) -> "CountReport":
-        ctx = f.ctx
-        if ctx.nu == 1:
-            coeffs = tuple(f.coeffs)
-        else:
-            coeffs = tuple(tuple(ctx.coeffs(a)) for a in f.coeffs)
-        return cls(
-            q=ctx.q,
-            n=f.n,
-            coeffs=coeffs,
-            case=classify(f).value,
-            P=P,
-            method=method,
-            value=value,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "coeffs": [list(c) if isinstance(c, tuple) else c for c in self.coeffs],
-            "case": self.case,
-            "P": self.P,
-            "method": self.method,
-            "value": self.value,
-        }

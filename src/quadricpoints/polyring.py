@@ -73,11 +73,6 @@ class Poly:
         """Degree, with deg(0) = -inf so that abs respects the ultrametric."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    @property
-    def absval(self) -> int:
-        """|x| = q**deg(x), with |0| = 0."""
-        return self.ctx.q ** (len(self.coeffs) - 1) if self.coeffs else 0
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -86,9 +81,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
-
-    def is_unit(self) -> bool:
-        return len(self.coeffs) == 1
 
     @property
     def lead(self) -> int:
@@ -190,14 +182,6 @@ class Poly:
         if self.is_monic():
             return self
         return self.scale(self.ctx.inv(self.lead))
-
-    def evaluate(self, a: int) -> int:
-        """Evaluate at a field element (Horner)."""
-        ctx = self.ctx
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, a), c)
-        return acc
 
     def derivative(self) -> "Poly":
         ctx = self.ctx
@@ -321,12 +305,6 @@ class Factorization:
 
     unit: int
     factors: tuple  # tuple[tuple[Poly, int], ...]
-
-    def expand(self, ctx: FieldCtx) -> Poly:
-        out = Poly.constant(ctx, self.unit)
-        for pi, k in self.factors:
-            out = out * pi**k
-        return out
 
     def is_square(self) -> bool:
         return all(k % 2 == 0 for _, k in self.factors)
@@ -486,33 +464,6 @@ def jacobi_symbol(a: Poly, r: Poly, fac: Factorization | None = None) -> int:
             return 0
         out *= s
     return out
-
-
-def poly_square_root(r: Poly, fac: Factorization | None = None) -> Poly | None:
-    """s with s*s == r, or None.
-
-    For monic r the monic root is returned.  For non-monic r the leading
-    unit must itself be a square in F_q^x; its smallest square root is
-    folded into the result.
-    """
-    if r.is_zero():
-        return Poly.zero(r.ctx)
-    ctx = r.ctx
-    lead_root = None
-    if not r.is_monic():
-        lead_root = ctx.sqrt_unit(r.lead)
-        if lead_root is None:
-            return None
-    if fac is None:
-        fac = factorize(r)
-    if not fac.is_square():
-        return None
-    s = Poly.one(ctx)
-    for pi, k in fac.factors:
-        s = s * pi ** (k // 2)
-    if lead_root is not None:
-        s = s.scale(lead_root)
-    return s
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,37 @@ def test_usage_errors(capsys):
         ("count", "--p", "3", "--gram", "1,0;0,,1", "--P", "1"),  # empty item in a row
         ("count", "--p", "3", "--gram", "1,0;;0,1", "--P", "1"),  # empty row
         ("verify", "nosuch", "--p", "3"),
+        ("verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1"),
+        ("verify", "phis", "--p", "5", "--pmax", "5"),
+        ("verify", "gauss", "--p", "3", "--n", "2"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, f"expected usage error for {argv}"
         assert err.startswith("error:")
+
+
+def test_verify_names_the_flags_it_does_not_take(capsys):
+    code, _, err = run(capsys, "verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1")
+    assert code == 2
+    assert err == "error: verify weyl does not take --maxdeg, --nmax; it takes --n, --pmax\n"
+
+
+def test_count_rows_encode_coefficients(capsys):
+    code, out, _ = run(capsys, "count", "--p", "3", "--coeffs", "1,1,1,2", "--P", "2")
+    assert code == 0
+    doc = json.loads(out)
+    (row,) = doc["data"]
+    assert list(row) == ["q", "n", "coeffs", "case", "P", "method", "value"]
+    assert row["q"] == 3 and row["n"] == 4 and row["P"] == 2
+    assert row["case"] == "nonsplit_even" and row["method"] == "exact_formula"
+    assert row["coeffs"] == doc["spec"]["coeffs"] == [1, 1, 1, 2]
+    code, out, _ = run(capsys, "count", "--q", "9", "--coeffs", "1,1,1", "--P", "1")
+    assert code == 0
+    doc = json.loads(out)
+    (row,) = doc["data"]
+    assert row["q"] == 9 and row["value"] == 81
+    assert row["coeffs"] == doc["spec"]["coeffs"] == [[1, 0], [1, 0], [1, 0]]
 
 
 def test_budget_exit_code(capsys):

@@ -12,7 +12,6 @@ import pytest
 
 from quadricpoints import (
     CaseTag,
-    CountReport,
     FieldCtx,
     QuadForm,
     classify,
@@ -209,20 +208,6 @@ def test_diagonalize_rejects_bad_input(F3):
         diagonalize(F3, [[1, 0, 0], [0, 1, 0]])  # not square
     with pytest.raises(ValueError):
         diagonalize(F3, [[3, 0], [0, 1]])  # entries outside F_q encodings
-
-
-def test_count_report(F3, F9):
-    f = QuadForm(F3, (1, 1, 1, 2))
-    rep = CountReport.build(f, 2, "exact_formula", count_exact(f, 2))
-    doc = rep.to_json_dict()
-    assert doc["q"] == 3 and doc["n"] == 4 and doc["P"] == 2
-    assert doc["case"] == "nonsplit_even"
-    assert doc["coeffs"] == [1, 1, 1, 2]
-    g = QuadForm(F9, (1, 1, 1))
-    rep9 = CountReport.build(g, 1, "exact_formula", count_exact(g, 1))
-    doc9 = rep9.to_json_dict()
-    assert doc9["q"] == 9 and doc9["coeffs"] == [[1, 0], [1, 0], [1, 0]]
-    assert doc9["value"] == 81
 
 
 def test_validation_errors(F3):

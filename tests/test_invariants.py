@@ -33,3 +33,15 @@ def test_library_raises_no_assertion_error():
 
 def test_library_has_no_debug_gates():
     assert [where for where, node in _nodes() if isinstance(node, ast.Name) and node.id == "__debug__"] == []
+
+
+def test_library_has_no_floating_point():
+    def is_float(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            return "cmath" in names
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, (float, complex))
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("float", "complex")
+
+    assert [where for where, node in _nodes() if is_float(node)] == []

@@ -3,8 +3,12 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quadricpoints import (
+    FieldCtx,
     Poly,
     enumerate_below,
     enumerate_monic,
@@ -15,9 +19,10 @@ from quadricpoints import (
     moebius,
     poly_from_encoding,
     poly_gcd,
-    poly_square_root,
 )
 from quadricpoints.polyring import NEG_INF, is_irreducible
+
+FIELDS = {3: FieldCtx(3), 5: FieldCtx(5), 7: FieldCtx(7), 9: FieldCtx(3, 2)}
 
 
 def _random_poly(ctx, rng, maxdeg):
@@ -25,11 +30,19 @@ def _random_poly(ctx, rng, maxdeg):
     return Poly(ctx, [rng.randrange(ctx.q) for _ in range(d + 1)])
 
 
+def _expand(fac, ctx):
+    """unit * prod(pi ** k) of a factorization."""
+    out = Poly.constant(ctx, fac.unit)
+    for pi, k in fac.factors:
+        out = out * pi**k
+    return out
+
+
 def test_construction_and_degree(F3):
     z = Poly.zero(F3)
-    assert z.deg == NEG_INF and z.is_zero() and z.absval == 0
+    assert z.deg == NEG_INF and z.is_zero()
     one = Poly.one(F3)
-    assert one.deg == 0 and one.absval == 1
+    assert one.deg == 0 and one.is_one()
     t = Poly.gen(F3)
     assert t.deg == 1 and str(t) == "t"
     f = Poly(F3, [1, 2, 0, 0])  # trailing zeros trimmed
@@ -49,13 +62,6 @@ def test_arithmetic_identities(F3, F9):
                 quo, rem = divmod(a, b)
                 assert quo * b + rem == a
                 assert rem.is_zero() or rem.deg < b.deg
-
-
-def test_evaluate_horner(F5):
-    f = Poly(F5, [1, 2, 3])  # 3t^2 + 2t + 1
-    for x in F5.elements():
-        direct = (3 * x * x + 2 * x + 1) % 5
-        assert f.evaluate(x) == direct
 
 
 def test_gcd_is_monic_and_divides(F3):
@@ -106,9 +112,41 @@ def test_factorize_round_trip_exhaustive_deg3(F3):
     for enc in range(1, 3**4):
         f = poly_from_encoding(F3, enc)
         fac = factorize(f)
-        assert fac.expand(F3) == f
+        assert _expand(fac, F3) == f
         for pi, _ in fac.factors:
             assert pi.is_monic() and is_irreducible(pi)
+
+
+@st.composite
+def nonzero_polys(draw):
+    """A nonzero polynomial of degree <= 8 over F_3, F_5, F_7 or F_9."""
+    ctx = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    coeffs = draw(st.lists(st.integers(0, ctx.q - 1), max_size=8))
+    return Poly(ctx, coeffs + [draw(st.integers(1, ctx.q - 1))])
+
+
+@given(nonzero_polys())
+def test_factorize_round_trip(f):
+    fac = factorize(f)
+    assert _expand(fac, f.ctx) == f
+    for pi, k in fac.factors:
+        assert k >= 1 and pi.is_monic() and is_irreducible(pi)
+    keys = [(len(pi.coeffs), pi.encoding()) for pi, _ in fac.factors]
+    assert keys == sorted(set(keys))
+
+
+@given(nonzero_polys().filter(lambda f: f.ctx.nu == 1))
+def test_factorize_matches_sympy(f):
+    p = f.ctx.p
+    t = sympy.symbols("t")
+    unit, factors = sympy.Poly(list(reversed(f.coeffs)), t, modulus=p).factor_list()
+    # sympy writes residues symmetrically, in (-p/2, p/2]
+    theirs = sorted(
+        (tuple(int(c) % p for c in reversed(g.all_coeffs())), k) for g, k in factors
+    )
+    fac = factorize(f)
+    assert int(unit) % p == fac.unit
+    assert sorted((pi.coeffs, k) for pi, k in fac.factors) == theirs
 
 
 def test_factorize_repeated_and_derivative_zero(F3):
@@ -119,7 +157,7 @@ def test_factorize_repeated_and_derivative_zero(F3):
     assert fac.factors == (((t + Poly.one(F3)), 3),)
     g = (t**3 - t) * (t**3 - t)  # squarefull with three distinct roots
     fac2 = factorize(g)
-    assert fac2.expand(F3) == g
+    assert _expand(fac2, F3) == g
     assert all(k == 2 for _, k in fac2.factors)
 
 
@@ -140,7 +178,7 @@ def test_factorize_extension_field(F9):
         f = _random_poly(F9, rng, 4)
         if f.is_zero():
             continue
-        assert factorize(f).expand(F9) == f
+        assert _expand(factorize(f), F9) == f
 
 
 def test_euler_phi(F3):
@@ -207,26 +245,6 @@ def test_jacobi_requires_monic_modulus(F3):
         jacobi_symbol(t, Poly.constant(F3, 2) * t)
     with pytest.raises(ValueError):
         jacobi_symbol(t, Poly.one(F3))
-
-
-def test_poly_square_root(F3):
-    t = Poly.gen(F3)
-    f = (t * t + t + Poly.constant(F3, 2)) ** 2
-    root = poly_square_root(f)
-    assert root is not None and root * root == f
-    # odd multiplicity has no square root
-    assert poly_square_root(t * f) is None
-    # nonsquare leading unit blocks the square root over F_3
-    g = Poly.constant(F3, 2) * f
-    assert poly_square_root(g) is None
-    # scaling by a square unit is fine over F_5
-    from quadricpoints import FieldCtx
-
-    F5 = FieldCtx(5)
-    s = Poly.gen(F5) + Poly.one(F5)
-    h = Poly.constant(F5, 4) * s * s
-    root5 = poly_square_root(h)
-    assert root5 is not None and root5 * root5 == h
 
 
 def test_enumeration_sizes(F3):
