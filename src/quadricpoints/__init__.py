@@ -43,7 +43,6 @@ from .formulas import (
     count_exact,
     count_primitive,
     diagonalize,
-    low_stratum_sum,
     morphism_count,
     morphism_count_from_counts,
     phi_degree_sum,
@@ -110,7 +109,6 @@ __all__ = [
     "count_primitive",
     "morphism_count",
     "morphism_count_from_counts",
-    "low_stratum_sum",
     "phi_degree_sum",
     "phi_power_sum",
     "brute_count",

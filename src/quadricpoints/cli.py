@@ -18,11 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from . import oracle
 from .expsums import QuadForm
@@ -40,7 +39,6 @@ from .oracle import BudgetExceeded, brute_count, brute_primitive_count, convolut
 from .verify import SUITES
 
 SCHEMA_VERSION = 1
-BUDGET_ENV_VAR = "QUADRICPOINTS_BUDGET"
 
 #: --method name -> (label written in ``data``, N(P) for P >= 1)
 METHODS = {
@@ -134,9 +132,8 @@ def _parse_P_values(args) -> list[int]:
         return [args.P]
     if args.P_range is not None:
         text = args.P_range
-        sep = ".." if ".." in text else ":"
         try:
-            lo, hi = (int(x) for x in text.split(sep))
+            lo, hi = (int(x) for x in text.split(".."))
         except ValueError:
             raise UsageError(f"cannot parse P range {text!r}; use 'lo..hi'") from None
         if lo > hi:
@@ -145,33 +142,16 @@ def _parse_P_values(args) -> list[int]:
     raise UsageError("a box size is required: --P or --P-range")
 
 
-def _parse_methods(spec: str) -> list[str]:
+def _parse_methods(text: str) -> list[str]:
     methods = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _split_elements(text):
         if tok not in METHODS:
             raise UsageError(
                 f"unknown method {tok!r}; choose from {', '.join(METHODS)}"
             )
         if tok not in methods:
             methods.append(tok)
-    if not methods:
-        raise UsageError("no methods given")
     return methods
-
-
-def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    return oracle.DEFAULT_BUDGET
 
 
 def _coeffs_json(f: QuadForm) -> list:
@@ -181,34 +161,17 @@ def _coeffs_json(f: QuadForm) -> list:
     return [list(f.ctx.coeffs(a)) for a in f.coeffs]
 
 
-@dataclass
-class JobSpec:
-    """Validated description of one CLI invocation."""
-
-    command: str
-    ctx: FieldCtx
-    form: QuadForm | None
-    P_values: list[int] = field(default_factory=list)
-    methods: list[str] = field(default_factory=list)
-    emit: str = "json"
-    budget: int = oracle.DEFAULT_BUDGET
-    jobs: int = 1
-
-    def spec_dict(self) -> dict:
-        out = {
-            "p": self.ctx.p,
-            "nu": self.ctx.nu,
-            "modulus": list(self.ctx.modulus),
-            "q": self.ctx.q,
-        }
-        if self.form is not None:
-            out["coeffs"] = _coeffs_json(self.form)
-            out["case"] = classify(self.form).value
-        if self.P_values:
-            out["P"] = self.P_values
-        if self.methods:
-            out["methods"] = self.methods
-        return out
+def _spec(ctx: FieldCtx, form: QuadForm | None = None, P_values=(), methods=()) -> dict:
+    """The ``spec`` block: the field, then the form, box sizes and methods when given."""
+    out = {"p": ctx.p, "nu": ctx.nu, "modulus": list(ctx.modulus), "q": ctx.q}
+    if form is not None:
+        out["coeffs"] = _coeffs_json(form)
+        out["case"] = classify(form).value
+    if P_values:
+        out["P"] = P_values
+    if methods:
+        out["methods"] = methods
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,24 +206,20 @@ def _count_row(f: QuadForm, P: int, method: str, budget: int) -> dict:
     }
 
 
-def cmd_count(spec: JobSpec) -> dict:
-    tasks = [
-        lambda P=P, m=m: _count_row(spec.form, P, m, spec.budget)
-        for P in spec.P_values
-        for m in spec.methods
-    ]
-    return {"data": _run_cells(tasks, spec.jobs)}
+def cmd_count(f: QuadForm, P_values: list[int], methods: list[str], budget: int, jobs: int) -> dict:
+    tasks = [lambda P=P, m=m: _count_row(f, P, m, budget) for P in P_values for m in methods]
+    return {"data": _run_cells(tasks, jobs)}
 
 
-def _table_column(spec: JobSpec, method: str):
+def _table_column(f: QuadForm, P_values: list[int], method: str, budget: int):
     """One method's rows in P order, computing each count once.
 
     The counts are taken in the order the rows first need them, so the
     first refusal or error is the one a row-by-row evaluation would hit.
     """
-    f, q, budget = spec.form, spec.ctx.q, spec.budget
+    q = f.ctx.q
     N, prim = {}, {}
-    for P in spec.P_values:
+    for P in P_values:
         if method == "brute":
             N[P] = brute_count(f, P, budget)
             for k in (P, P + 1):
@@ -285,16 +244,16 @@ def _table_column(spec: JobSpec, method: str):
         }
 
 
-def cmd_table(spec: JobSpec) -> dict:
+def cmd_table(f: QuadForm, P_values: list[int], methods: list[str], budget: int) -> dict:
     # zip pulls the rows lazily in P-major order, so a refusal stops all work
-    columns = [_table_column(spec, m) for m in spec.methods]
+    columns = [_table_column(f, P_values, m, budget) for m in methods]
     return {"data": [row for rows in zip(*columns) for row in rows]}
 
 
-def cmd_verify(spec: JobSpec, suite: str, kwargs: dict) -> dict:
+def cmd_verify(ctx: FieldCtx, suite: str, kwargs: dict) -> dict:
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    records = SUITES[suite](spec.ctx, **kwargs)
+    records = SUITES[suite](ctx, **kwargs)
     return {
         "data": [{"suite": suite, **rec} for rec in records],
         "passed": sum(1 for r in records if r["ok"]),
@@ -306,27 +265,26 @@ def cmd_verify(spec: JobSpec, suite: str, kwargs: dict) -> dict:
 # emission
 
 
-def _emit(payload: dict, command: str, spec: JobSpec, runtime_ms: int, stream) -> None:
-    if spec.emit == "csv":
-        rows = payload["data"]
+#: CSV columns of each command's data rows
+_CSV_COLUMNS = {
+    "count": ("q", "n", "case", "P", "method", "value"),
+    "table": ("P", "method", "N", "N_primitive", "morphisms"),
+    "verify": ("suite", "id", "ok"),
+}
+
+
+def _emit(payload: dict, command: str, spec: dict, emit: str, runtime_ms: int, stream) -> None:
+    if emit == "csv":
+        columns = _CSV_COLUMNS[command]
         writer = csv.writer(stream)
-        if command == "count":
-            writer.writerow(["q", "n", "case", "P", "method", "value"])
-            for r in rows:
-                writer.writerow([r["q"], r["n"], r["case"], r["P"], r["method"], r["value"]])
-        elif command == "table":
-            writer.writerow(["P", "method", "N", "N_primitive", "morphisms"])
-            for r in rows:
-                writer.writerow([r["P"], r["method"], r["N"], r["N_primitive"], r["morphisms"]])
-        else:
-            writer.writerow(["suite", "id", "ok"])
-            for r in rows:
-                writer.writerow([r["suite"], r["id"], int(r["ok"])])
+        writer.writerow(columns)
+        for r in payload["data"]:
+            writer.writerow([int(r[c]) if isinstance(r[c], bool) else r[c] for c in columns])
         return
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "spec": spec.spec_dict(),
+        "spec": spec,
         **payload,
         "meta": {"runtime_ms": runtime_ms},
     }
@@ -344,7 +302,9 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--q", type=int, help="field size p^nu (alternative to --p/--nu)")
     common.add_argument("--nu", type=int, default=1, help="extension degree (default 1)")
     common.add_argument("--modulus", help="comma list of F_p coefficients, low to high")
-    common.add_argument("--budget", type=int, help="enumeration budget (evaluations)")
+    common.add_argument(
+        "--budget", type=int, default=oracle.DEFAULT_BUDGET, help="enumeration budget (evaluations)"
+    )
     common.add_argument("--emit", choices=["json", "csv"], default="json")
     common.add_argument("--jobs", type=int, default=1, help="parallel cells (threads)")
 
@@ -387,19 +347,12 @@ def _apply_q_flag(args) -> None:
     q = args.q
     if q < 3:
         raise UsageError(f"--q must be an odd prime power, got {q}")
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            break
-        d += 1
-    else:
-        d = q
-    p, nu = d, 0
-    while q % p == 0 and q > 1:
-        q //= p
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    nu = 1
+    while p**nu < q:
         nu += 1
-    if q != 1:
-        raise UsageError(f"--q must be a prime power, got {args.q}")
+    if p**nu != q:
+        raise UsageError(f"--q must be a prime power, got {q}")
     args.p, args.nu = p, nu
 
 
@@ -416,53 +369,37 @@ _VERIFY_KW = {
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     start = time.monotonic()
     try:
         _apply_q_flag(args)
         ctx = _build_ctx(args)
-        if args.command in ("count", "table"):
-            spec = JobSpec(
-                command=args.command,
-                ctx=ctx,
-                form=_build_form(ctx, args),
-                P_values=_parse_P_values(args),
-                methods=_parse_methods(args.method),
-                emit=args.emit,
-                budget=_resolve_budget(args),
-                jobs=args.jobs,
-            )
-            for P in spec.P_values:
-                if P < 1:
-                    raise UsageError("P values must be >= 1")
-            payload = cmd_count(spec) if args.command == "count" else cmd_table(spec)
-            runtime_ms = int((time.monotonic() - start) * 1000)
-            _emit(payload, args.command, spec, runtime_ms, sys.stdout)
-            return 0
-        # verify
-        spec = JobSpec(
-            command="verify",
-            ctx=ctx,
-            form=None,
-            emit=args.emit,
-            budget=_resolve_budget(args),
-            jobs=args.jobs,
-        )
-        takes = _VERIFY_KW.get(args.suite, ())
-        bounds = sorted(set().union(*_VERIFY_KW.values()))
-        kwargs = {name: getattr(args, name) for name in bounds if getattr(args, name) is not None}
-        extra = [name for name in kwargs if name not in takes]
-        if extra and args.suite in _VERIFY_KW:
-            raise UsageError(
-                f"verify {args.suite} does not take --{', --'.join(extra)}; it takes --{', --'.join(takes)}"
-            )
-        if args.suite in ("counts", "mor"):
-            kwargs["budget"] = spec.budget
-        payload = cmd_verify(spec, args.suite, kwargs)
+        if args.command == "verify":
+            takes = _VERIFY_KW.get(args.suite, ())
+            bounds = sorted(set().union(*_VERIFY_KW.values()))
+            kwargs = {name: getattr(args, name) for name in bounds if getattr(args, name) is not None}
+            extra = [name for name in kwargs if name not in takes]
+            if extra and args.suite in _VERIFY_KW:
+                raise UsageError(
+                    f"verify {args.suite} does not take --{', --'.join(extra)}; it takes --{', --'.join(takes)}"
+                )
+            if args.suite in ("counts", "mor"):
+                kwargs["budget"] = args.budget
+            spec, payload = _spec(ctx), cmd_verify(ctx, args.suite, kwargs)
+        else:
+            f = _build_form(ctx, args)
+            P_values = _parse_P_values(args)
+            methods = _parse_methods(args.method)
+            if any(P < 1 for P in P_values):
+                raise UsageError("P values must be >= 1")
+            spec = _spec(ctx, f, P_values, methods)
+            if args.command == "count":
+                payload = cmd_count(f, P_values, methods, args.budget, args.jobs)
+            else:
+                payload = cmd_table(f, P_values, methods, args.budget)
         runtime_ms = int((time.monotonic() - start) * 1000)
-        _emit(payload, "verify", spec, runtime_ms, sys.stdout)
-        return 0 if payload["failed"] == 0 else 1
+        _emit(payload, args.command, spec, args.emit, runtime_ms, sys.stdout)
+        return 1 if payload.get("failed") else 0
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3

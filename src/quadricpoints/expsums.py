@@ -31,7 +31,6 @@ from .characters import LaurentTail, ball_integral, expansion_tail, tail_char_ex
 from .cyclotomic import CycInt, QScaled
 from .field import FieldCtx
 from .polyring import (
-    Factorization,
     Poly,
     enumerate_below,
     euler_phi,
@@ -190,7 +189,7 @@ def local_factor_direct(f: QuadForm, r: Poly) -> CycInt:
     return total
 
 
-def local_factor_closed(f: QuadForm, r: Poly, fac: Factorization | None = None) -> int:
+def local_factor_closed(f: QuadForm, r: Poly) -> int:
     """Closed form of S_r(f) for monic r; multiplicative over coprime factors.
 
     Even n:  (signed-det / r) * phi(r) * |r|^(n/2).
@@ -200,8 +199,7 @@ def local_factor_closed(f: QuadForm, r: Poly, fac: Factorization | None = None) 
     if r.is_one():
         return 1
     ctx = f.ctx
-    if fac is None:
-        fac = factorize(r)
+    fac = factorize(r)
     rho = len(r.coeffs) - 1
     phi = euler_phi(r, fac)
     if f.n % 2 == 0:
@@ -232,17 +230,18 @@ def weyl_sum(f: QuadForm, a: Poly, r: Poly, tail: LaurentTail, P: int) -> CycInt
     xs = list(enumerate_below(ctx, P))
     values = [[(x * x).scale(ai) for x in xs] for ai in f.coeffs]
     alpha = tail + expansion_tail(a, r, 2 * P - 1)
+    n = f.n
     counts = [0] * p
-    idx = [0] * f.n
-    partial = [Poly.zero(ctx)] * (f.n + 1)
+    idx = [0] * n
+    partial = [Poly.zero(ctx)] * (n + 1)
     k = 0
     size = len(xs)
     while True:
-        while k < f.n:
+        while k < n:
             partial[k + 1] = partial[k] + values[k][idx[k]]
             k += 1
-        counts[tail_char_exponent(alpha, partial[f.n])] += 1
-        k = f.n - 1
+        counts[tail_char_exponent(alpha, partial[n])] += 1
+        k = n - 1
         while k >= 0:
             idx[k] += 1
             if idx[k] < size:

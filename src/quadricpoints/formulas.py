@@ -299,42 +299,3 @@ def morphism_count(f: QuadForm, P: int) -> int:
             (q ** (n - 2) - 1) * (q**half + 1), q**half * (q ** (half - 2) + 1)
         ) * q ** (n * P // 2)
     return _as_int(val, "morphism count, nonsplit case")
-
-
-def low_stratum_sum(f: QuadForm, P: int) -> Fraction:
-    """Closed value of sum over monic r with |r| <= q^(P-1) of S_r(f) |r|^(-n) I_r.
-
-    This is N(P) minus the top stratum deg r = P; it is rational but not
-    integral in general, hence the Fraction return.
-    """
-    n = f.n
-    q = f.ctx.q
-    if n < 3:
-        raise ValueError("the closed stratum sums need n >= 3")
-    if P < 1:
-        raise ValueError("the box exponent P must be >= 1")
-    tag = classify(f)
-    even_P = P % 2 == 0
-    if tag is CaseTag.ODD:
-        if n == 3:
-            val = Fraction(q * q - 1, 2 * q) * P * q**P
-            val += Fraction(q**P, q) if even_P else Fraction((q * q + 1) * q**P, 2 * q)
-            return val
-        val = (Fraction(q) - qpow(q, 2 - n)) / (1 - qpow(q, 3 - n)) * q ** (P * (n - 2))
-        scale = q ** (n - 3) if even_P else q ** ((n - 3) // 2)
-        val -= Fraction((q * q - 1) * scale, q ** (n - 2) - q) * q ** ((n - 1) * P // 2)
-        return val
-    half = n // 2
-    if tag is CaseTag.SPLIT_EVEN:
-        if n == 4:
-            return Fraction(q * q - 1, q) * P * q ** (2 * P) + Fraction(q ** (2 * P), q)
-        val = Fraction(q**half - 1, q ** (half - 1) - q) * q ** (P * (n - 2))
-        val -= Fraction(q * q - 1) / (q * (1 - qpow(q, 2 - half))) * q ** (n * P // 2)
-        return val
-    if n == 4:
-        exp = 2 * P - 1 if even_P else 2 * P + 1
-        return Fraction(q**exp)
-    val = Fraction(q**half + 1, q ** (half - 1) + q) * q ** (P * (n - 2))
-    sign = 1 if even_P else -1
-    val -= sign * Fraction(q * q - 1) / (q * (1 + qpow(q, 2 - half))) * q ** (n * P // 2)
-    return val

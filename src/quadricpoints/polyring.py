@@ -415,11 +415,10 @@ def euler_phi(r: Poly, fac: Factorization | None = None) -> int:
     return out
 
 
-def moebius(r: Poly, fac: Factorization | None = None) -> int:
+def moebius(r: Poly) -> int:
     if r.is_zero():
         raise ValueError("moebius of zero")
-    if fac is None:
-        fac = factorize(r)
+    fac = factorize(r)
     if any(k >= 2 for _, k in fac.factors):
         return 0
     return -1 if len(fac.factors) % 2 else 1
@@ -493,13 +492,8 @@ def enumerate_monic(ctx: FieldCtx, d: int):
     if d < 0:
         raise ValueError("degree must be >= 0")
     q = ctx.q
-    for enc in range(q**d):
-        coeffs = []
-        e = enc
-        for _ in range(d):
-            e, c = divmod(e, q)
-            coeffs.append(c)
-        yield Poly(ctx, tuple(coeffs) + (1,))
+    for enc in range(q**d, 2 * q**d):
+        yield poly_from_encoding(ctx, enc)
 
 
 def irreducibles(ctx: FieldCtx, d: int):

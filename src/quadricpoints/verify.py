@@ -36,7 +36,7 @@ from .formulas import (
     phi_degree_sum,
     phi_power_sum,
 )
-from .oracle import brute_count, brute_morphism_count
+from .oracle import DEFAULT_BUDGET, brute_count, brute_morphism_count
 from .polyring import (
     Poly,
     enumerate_below,
@@ -170,7 +170,7 @@ def suite_arcs(ctx: FieldCtx, nmax: int = 3, pmax: int = 2) -> list[dict]:
     return out
 
 
-def suite_counts(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = 10**8) -> list[dict]:
+def suite_counts(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = DEFAULT_BUDGET) -> list[dict]:
     out = []
     for f in _form_family(ctx, nmax):
         if f.n < 3:
@@ -181,7 +181,7 @@ def suite_counts(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = 10**
     return out
 
 
-def suite_mor(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = 10**8) -> list[dict]:
+def suite_mor(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = DEFAULT_BUDGET) -> list[dict]:
     out = []
     for f in _form_family(ctx, nmax):
         if f.n < 3:

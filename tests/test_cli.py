@@ -65,6 +65,9 @@ def test_usage_errors(capsys):
         ("count", "--p", "3", "--coeffs", "1,1,1,", "--P", "1"),  # trailing comma
         ("count", "--p", "3", "--gram", "1,0;0,,1", "--P", "1"),  # empty item in a row
         ("count", "--p", "3", "--gram", "1,0;;0,1", "--P", "1"),  # empty row
+        ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--method", "exact,"),
+        ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--method", "exact,,circle"),
+        ("count", "--p", "3", "--coeffs", "1,1,1", "--P-range", "1:2"),  # only 'lo..hi'
         ("verify", "nosuch", "--p", "3"),
         ("verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1"),
         ("verify", "phis", "--p", "5", "--pmax", "5"),
@@ -107,24 +110,6 @@ def test_budget_exit_code(capsys):
     )
     assert code == 3
     assert "budget" in err
-
-
-def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("QUADRICPOINTS_BUDGET", "1000")
-    code, _, _ = run(
-        capsys,
-        "count", "--p", "3", "--coeffs", "1,1,1,1,1,1", "--P", "3", "--method", "brute",
-    )
-    assert code == 3
-    # explicit flag wins over the environment
-    monkeypatch.setenv("QUADRICPOINTS_BUDGET", "1")
-    code, out, _ = run(
-        capsys,
-        "count", "--p", "3", "--coeffs", "1,1,1", "--P", "1",
-        "--method", "brute", "--budget", "100000",
-    )
-    assert code == 0
-    assert json.loads(out)["data"][0]["value"] == 9
 
 
 def test_verify_suite_pass(capsys):
@@ -204,18 +189,20 @@ def test_table_computes_each_brute_count_once(capsys, monkeypatch):
 
 
 def test_byte_determinism_across_runs_and_jobs(capsys):
-    argv = [
-        "table", "--p", "3", "--coeffs", "1,1,1,1", "--P-range", "1..2",
-        "--method", "exact,conv",
+    # a table ignores --jobs; a count runs its cells in a thread pool
+    cases = [
+        (["table", "--p", "3", "--coeffs", "1,1,1,1", "--P-range", "1..2", "--method", "exact,conv"], ("1", "1", "3")),
+        (["count", "--p", "3", "--coeffs", "1,1,1,2", "--P-range", "1..3", "--method", "exact,circle,brute,conv"], ("1", "1", "4")),
     ]
-    docs = []
-    for jobs in ("1", "1", "3"):
-        code, out, _ = run(capsys, *argv, "--jobs", jobs)
-        assert code == 0
-        doc = json.loads(out)
-        doc.pop("meta")
-        docs.append(json.dumps(doc, sort_keys=True))
-    assert docs[0] == docs[1] == docs[2]
+    for argv, jobs_values in cases:
+        docs = []
+        for jobs in jobs_values:
+            code, out, _ = run(capsys, *argv, "--jobs", jobs)
+            assert code == 0
+            doc = json.loads(out)
+            doc.pop("meta")
+            docs.append(json.dumps(doc))
+        assert docs[0] == docs[1] == docs[2]
 
 
 def test_q_flag_extension_field(capsys):

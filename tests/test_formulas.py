@@ -21,8 +21,6 @@ from quadricpoints import (
     diagonalize,
     enumerate_below,
     enumerate_monic,
-    local_factor_closed,
-    low_stratum_sum,
     morphism_count,
     morphism_count_from_counts,
     phi_degree_sum,
@@ -154,16 +152,6 @@ def test_phi_power_sum_closed_forms(q, signed, c):
         assert phi_power_sum(q, M, c, signed) == direct
 
 
-def test_low_stratum_plus_top_is_count(F3):
-    for coeffs in [(1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)]:
-        f = QuadForm(F3, coeffs)
-        for P in (1, 2):
-            top = Fraction(0)
-            for r in enumerate_monic(F3, P):
-                top += Fraction(local_factor_closed(f, r), 3 ** (2 * P))
-            assert low_stratum_sum(f, P) + top == count_exact(f, P)
-
-
 def test_diagonalize_gram(F3, F5):
     # hyperbolic plane 2xy: congruent to a diagonal form with the same counts
     f = diagonalize(F3, [[0, 1], [1, 0]])
@@ -219,5 +207,3 @@ def test_validation_errors(F3):
         count_exact(f3, 0)
     with pytest.raises(ValueError):
         morphism_count(f3, 0)
-    with pytest.raises(ValueError):
-        low_stratum_sum(f3, 0)

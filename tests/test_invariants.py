@@ -45,3 +45,15 @@ def test_library_has_no_floating_point():
         return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("float", "complex")
 
     assert [where for where, node in _nodes() if is_float(node)] == []
+
+
+def test_library_reads_no_environment():
+    """Settings come from arguments only: the CLI's --budget, else oracle.DEFAULT_BUDGET."""
+    names = ("environ", "getenv", "putenv")
+
+    def reads_environment(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "os" and any(a.name in names for a in node.names)
+        return isinstance(node, ast.Attribute) and node.attr in names
+
+    assert [where for where, node in _nodes() if reads_environment(node)] == []
