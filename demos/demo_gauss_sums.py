@@ -14,8 +14,9 @@ from quadricpoints import (
     Poly,
     gauss_sum,
     gauss_sum_prime_power,
-    jacobi_symbol,
+    poly_from_encoding,
     twisted_gauss_sum,
+    twisted_gauss_sum_prime_power,
 )
 
 F3 = FieldCtx(3)
@@ -42,15 +43,14 @@ for k in range(1, 5):
 two = Poly.constant(F3, 2)
 print("\ntwist by the nonsquare 2:", twisted_gauss_sum(two, t), "= -tau_t")
 
-# twisting by any coprime polynomial a follows the Jacobi symbol
+# twisting by a coprime a multiplies by the quadratic symbol (a / r); at
+# the irreducible r = t^2 + 1 the closed form reads it by Euler's criterion
 r = t * t + one
 for enc in (1, 2, 4):
-    from quadricpoints import poly_from_encoding
-
     a = poly_from_encoding(F3, enc)
     lhs = twisted_gauss_sum(a, r)
-    rhs = gauss_sum(r) if jacobi_symbol(a, r) == 1 else -gauss_sum(r)
-    print(f"twist by {a}: {lhs}   chi(a) tau: {rhs}   equal: {lhs == rhs}")
+    rhs = twisted_gauss_sum_prime_power(a, r, 1)
+    print(f"twist by {a}: {lhs}   closed: {rhs}   equal: {lhs == rhs}")
 
 # everything stays exact: a cyclotomic integer knows when it is rational
 print("\nis tau_t rational?", tau.to_int())

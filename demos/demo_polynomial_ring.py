@@ -4,8 +4,7 @@ The polynomial ring F_q[t] and its multiplicative functions
 
 Polynomials play the role that integers play over Q: they factor
 uniquely into monic irreducibles, carry an absolute value |f| = q**deg f,
-and support exact analogues of Euler phi, the Moebius function, and the
-Jacobi symbol.
+and support exact analogues of Euler phi and the Moebius function.
 """
 
 from quadricpoints import (
@@ -14,7 +13,6 @@ from quadricpoints import (
     euler_phi,
     factorize,
     irreducibles,
-    jacobi_symbol,
     moebius,
 )
 
@@ -47,15 +45,6 @@ for pi in irreducibles(F3, 2):
 r = t * t
 print("\nphi(t^2) =", euler_phi(r))
 print("mu(t) =", moebius(t), " mu(t(t+1)) =", moebius(t * (t + one)), " mu(t^2) =", moebius(r))
-
-# the Jacobi symbol (a/r) extends the quadratic residue character
-pi = t * t + one  # irreducible
-print("\nJacobi symbols modulo t^2 + 1:")
-for enc in (1, 2, 3, 5):
-    from quadricpoints import poly_from_encoding
-
-    a = poly_from_encoding(F3, enc)
-    print(f"  ({a} / {pi}) =", jacobi_symbol(a, pi))
 
 # a monic polynomial is a square exactly when every multiplicity is even
 square = (t * t + t + one) ** 2

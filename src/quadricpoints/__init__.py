@@ -10,11 +10,11 @@ circle-method reassembly built from character sums.
 Layers, bottom to top:
 
 * :mod:`quadricpoints.field`      - arithmetic in F_q, q an odd prime power
-* :mod:`quadricpoints.polyring`   - F_q[t]: factorization, phi, Jacobi symbols
+* :mod:`quadricpoints.polyring`   - F_q[t]: factorization, phi, Moebius
 * :mod:`quadricpoints.cyclotomic` - exact integer arithmetic in Z[zeta_p]
 * :mod:`quadricpoints.characters` - additive characters and ball integrals
-* :mod:`quadricpoints.expsums`    - Gauss sums, complete sums, arc integrals
-* :mod:`quadricpoints.formulas`   - closed-form counts and classification
+* :mod:`quadricpoints.expsums`    - case tags, Gauss sums, complete sums, arc integrals
+* :mod:`quadricpoints.formulas`   - closed-form counts
 * :mod:`quadricpoints.oracle`     - brute-force and convolution enumerators
 * :mod:`quadricpoints.verify`     - identity suites tying the layers together
 * :mod:`quadricpoints.cli`        - ``quadricpoints`` command-line tool
@@ -27,6 +27,7 @@ from .expsums import (
     QuadForm,
     arc_integral_closed,
     arc_integral_direct,
+    classify,
     form_exp_sum,
     gauss_sum,
     gauss_sum_prime_power,
@@ -38,13 +39,11 @@ from .expsums import (
 )
 from .field import FieldCtx
 from .formulas import (
-    classify,
     count_circle,
     count_exact,
     count_primitive,
     diagonalize,
     morphism_count,
-    morphism_count_from_counts,
     phi_degree_sum,
     phi_power_sum,
 )
@@ -64,7 +63,6 @@ from .polyring import (
     euler_phi,
     factorize,
     irreducibles,
-    jacobi_symbol,
     moebius,
     poly_from_encoding,
     poly_gcd,
@@ -82,7 +80,6 @@ __all__ = [
     "factorize",
     "euler_phi",
     "moebius",
-    "jacobi_symbol",
     "enumerate_below",
     "enumerate_monic",
     "irreducibles",
@@ -108,7 +105,6 @@ __all__ = [
     "count_circle",
     "count_primitive",
     "morphism_count",
-    "morphism_count_from_counts",
     "phi_degree_sum",
     "phi_power_sum",
     "brute_count",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -24,23 +25,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import oracle
-from .expsums import QuadForm
+from .expsums import QuadForm, classify
 from .field import FieldCtx
-from .formulas import (
-    classify,
-    count_circle,
-    count_exact,
-    diagonalize,
-    morphism_count,
-    morphism_count_from_counts,
-    primitive_from_counts,
-)
+from .formulas import count_circle, count_exact, diagonalize, morphism_count, primitive_from_counts
 from .oracle import BudgetExceeded, brute_count, brute_primitive_count, convolution_count, morphisms_from_primitive
 from .verify import SUITES
 
 SCHEMA_VERSION = 1
 
-#: --method name -> (label written in ``data``, N(P) for P >= 1)
+#: --method name -> (label written in ``data``, N(P) for P >= 0)
 METHODS = {
     "exact": ("exact_formula", lambda f, P, budget: count_exact(f, P)),
     "circle": ("circle_reassembly", lambda f, P, budget: count_circle(f, P)),
@@ -178,11 +171,6 @@ def _spec(ctx: FieldCtx, form: QuadForm | None = None, P_values=(), methods=()) 
 # computations behind the subcommands
 
 
-def _count(method: str, f: QuadForm, P: int, budget: int) -> int:
-    """N(P) by one method, with the convention N(0) = 1 (only the zero tuple)."""
-    return 1 if P == 0 else METHODS[method][1](f, P, budget)
-
-
 def _run_cells(tasks, jobs: int):
     """Evaluate thunks, optionally in a thread pool; order is preserved."""
     if jobs <= 1 or len(tasks) <= 1:
@@ -194,15 +182,15 @@ def _run_cells(tasks, jobs: int):
 
 def _count_row(f: QuadForm, P: int, method: str, budget: int) -> dict:
     """One ``count`` data row."""
-    value = _count(method, f, P, budget)
+    label, count = METHODS[method]
     return {
         "q": f.ctx.q,
         "n": f.n,
         "coeffs": _coeffs_json(f),
         "case": classify(f).value,
         "P": P,
-        "method": METHODS[method][0],
-        "value": value,
+        "method": label,
+        "value": count(f, P, budget),
     }
 
 
@@ -214,34 +202,30 @@ def cmd_count(f: QuadForm, P_values: list[int], methods: list[str], budget: int,
 def _table_column(f: QuadForm, P_values: list[int], method: str, budget: int):
     """One method's rows in P order, computing each count once.
 
-    The counts are taken in the order the rows first need them, so the
-    first refusal or error is the one a row-by-row evaluation would hit.
+    The counts are taken in the order the rows first need them (P, P - 1,
+    P + 1), so the first refusal or error is the one a row-by-row
+    evaluation would hit.  Morphisms are the increment of the primitive
+    count, except on the exact column, which has its own closed formula.
     """
-    q = f.ctx.q
-    N, prim = {}, {}
-    for P in P_values:
+    label, count = METHODS[method]
+
+    @functools.cache
+    def count_at(k: int) -> int:
+        return count(f, k, budget)
+
+    @functools.cache
+    def primitive(k: int) -> int:
         if method == "brute":
-            N[P] = brute_count(f, P, budget)
-            for k in (P, P + 1):
-                if k not in prim:
-                    prim[k] = brute_primitive_count(f, k, budget)
-            mor = morphisms_from_primitive(prim[P + 1], prim[P])
+            return brute_primitive_count(f, k, budget)
+        return primitive_from_counts(count_at(k), count_at(k - 1), f.ctx.q)
+
+    for P in P_values:
+        n, prim_P = count_at(P), primitive(P)
+        if method == "exact":
+            mor = morphism_count(f, P)
         else:
-            for k in (P, P - 1, P + 1):
-                if k not in N:
-                    N[k] = _count(method, f, k, budget)
-            prim[P] = primitive_from_counts(N[P], N[P - 1], q)
-            if method == "exact":
-                mor = morphism_count(f, P)
-            else:
-                mor = morphism_count_from_counts(N[P + 1], N[P], N[P - 1], q)
-        yield {
-            "P": P,
-            "method": METHODS[method][0],
-            "N": N[P],
-            "N_primitive": prim[P],
-            "morphisms": mor,
-        }
+            mor = morphisms_from_primitive(primitive(P + 1), prim_P)
+        yield {"P": P, "method": label, "N": n, "N_primitive": prim_P, "morphisms": mor}
 
 
 def cmd_table(f: QuadForm, P_values: list[int], methods: list[str], budget: int) -> dict:

@@ -36,7 +36,6 @@ from .polyring import (
     euler_phi,
     factorize,
     is_irreducible,
-    jacobi_symbol,
     poly_gcd,
     _legendre,
 )
@@ -102,6 +101,20 @@ class QuadForm:
 
     def __str__(self):
         return " + ".join(f"{a}*X{i + 1}^2" for i, a in enumerate(self.coeffs))
+
+
+def classify(f: QuadForm) -> CaseTag:
+    """Case split of the closed formulas.
+
+    Odd rank is one case.  For even rank the square class of
+    (-1)^(n/2) * a_1 * ... * a_n decides whether the quadric carries the
+    split or the nonsplit quadric space structure.
+    """
+    if f.n % 2:
+        return CaseTag.ODD
+    if f.ctx.is_square_unit(f.signed_det_unit()):
+        return CaseTag.SPLIT_EVEN
+    return CaseTag.NONSPLIT_EVEN
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +205,23 @@ def local_factor_direct(f: QuadForm, r: Poly) -> CycInt:
 def local_factor_closed(f: QuadForm, r: Poly) -> int:
     """Closed form of S_r(f) for monic r; multiplicative over coprime factors.
 
-    Even n:  (signed-det / r) * phi(r) * |r|^(n/2).
+    Even n:  (d / r) * phi(r) * |r|^(n/2) with d the signed determinant, a
+             constant, so (d / r) = chi(d)^deg(r): 1 in the split case and
+             (-1)^deg(r) in the nonsplit case.
     Odd n:   phi(r) * |r|^(n/2) when r is a square, else 0.
     """
     _require_monic(r)
     if r.is_one():
         return 1
-    ctx = f.ctx
     fac = factorize(r)
     rho = len(r.coeffs) - 1
-    phi = euler_phi(r, fac)
-    if f.n % 2 == 0:
-        sym = jacobi_symbol(Poly.constant(ctx, f.signed_det_unit()), r, fac)
-        return sym * phi * ctx.q ** (rho * f.n // 2)
-    if fac.is_square():
-        return phi * ctx.q ** (rho * f.n // 2)  # rho is even here
-    return 0
+    size = euler_phi(r, fac) * f.ctx.q ** (rho * f.n // 2)  # odd n keeps it only at even rho
+    tag = classify(f)
+    if tag is CaseTag.ODD:
+        return size if fac.is_square() else 0
+    if tag is CaseTag.NONSPLIT_EVEN:
+        return (-1) ** rho * size
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +298,8 @@ def arc_integral_closed(f: QuadForm, r: Poly, P: int) -> Fraction:
     """
     _require_monic(r)
     rho = len(r.coeffs) - 1
-    if P < 1:
-        raise ValueError("the box exponent P must be >= 1")
+    if P < 0:
+        raise ValueError("the box exponent P must be >= 0")
     if rho > P:
         raise ValueError("arc integrals are only defined for deg r <= P")
     ctx = f.ctx

@@ -17,23 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expsums import CaseTag, QuadForm, arc_integral_closed, local_factor_closed, qpow
+from .expsums import CaseTag, QuadForm, arc_integral_closed, classify, local_factor_closed, qpow
 from .field import FieldCtx
 from .polyring import Poly, enumerate_monic
-
-
-def classify(f: QuadForm) -> CaseTag:
-    """Case split of the closed formulas.
-
-    Odd rank is one case.  For even rank the square class of
-    (-1)^(n/2) * a_1 * ... * a_n decides whether the quadric carries the
-    split or the nonsplit quadric space structure.
-    """
-    if f.n % 2:
-        return CaseTag.ODD
-    if f.ctx.is_square_unit(f.signed_det_unit()):
-        return CaseTag.SPLIT_EVEN
-    return CaseTag.NONSPLIT_EVEN
 
 
 def diagonalize(ctx: FieldCtx, gram) -> QuadForm:
@@ -137,13 +123,13 @@ def _as_int(x: Fraction, what: str) -> int:
 
 
 def count_exact(f: QuadForm, P: int) -> int:
-    """N(P) by the closed case formulas; defined for n >= 3 and P >= 1."""
+    """N(P) by the closed case formulas; defined for n >= 3 and P >= 0."""
     n = f.n
     q = f.ctx.q
     if n < 3:
         raise ValueError("closed count formulas need n >= 3")
-    if P < 1:
-        raise ValueError("closed count formulas need P >= 1")
+    if P < 0:
+        raise ValueError("closed count formulas need P >= 0")
     tag = classify(f)
     even_P = P % 2 == 0
     if tag is CaseTag.ODD:
@@ -191,8 +177,8 @@ def count_circle(f: QuadForm, P: int) -> int:
     Works for every n >= 1; the local factors and arc integrals are the
     closed ones, so this is an independent route to the same integer.
     """
-    if P < 1:
-        raise ValueError("the box exponent P must be >= 1")
+    if P < 0:
+        raise ValueError("the box exponent P must be >= 0")
     ctx = f.ctx
     q = ctx.q
     n = f.n
@@ -206,20 +192,12 @@ def count_circle(f: QuadForm, P: int) -> int:
     return _as_int(total, "N(P) from the circle decomposition")
 
 
-def _count_any(f: QuadForm, P: int) -> int:
-    """N(P) with the convention N(0) = 1 (only the zero tuple)."""
-    if P == 0:
-        return 1
-    if f.n >= 3:
-        return count_exact(f, P)
-    return count_circle(f, P)
-
-
 def count_primitive(f: QuadForm, P: int) -> int:
     """Primitive solutions up to units: (N(P) - q N(P-1)) / (q - 1) + 1."""
     if P < 1:
         raise ValueError("primitive counts need P >= 1")
-    return primitive_from_counts(_count_any(f, P), _count_any(f, P - 1), f.ctx.q)
+    count = count_exact if f.n >= 3 else count_circle
+    return primitive_from_counts(count(f, P), count(f, P - 1), f.ctx.q)
 
 
 def primitive_from_counts(n_mid: int, n_minus: int, q: int) -> int:
@@ -233,21 +211,6 @@ def primitive_from_counts(n_mid: int, n_minus: int, q: int) -> int:
     out = num // (q - 1) + 1
     if out < 0:
         raise ValueError("counts are inconsistent: negative primitive count")
-    return out
-
-
-def morphism_count_from_counts(n_plus: int, n_mid: int, n_minus: int, q: int) -> int:
-    """Degree-P morphism count from N(P+1), N(P), N(P-1).
-
-    (N(P+1) - (q+1) N(P) + q N(P-1)) / (q - 1); non-divisibility or a
-    negative result signals inconsistent inputs.
-    """
-    num = n_plus - (q + 1) * n_mid + q * n_minus
-    if num % (q - 1):
-        raise ValueError("counts are inconsistent: difference not divisible by q - 1")
-    out = num // (q - 1)
-    if out < 0:
-        raise ValueError("counts are inconsistent: negative morphism count")
     return out
 
 

@@ -97,16 +97,28 @@ def _box_values(f: QuadForm, P: int) -> dict:
 def _tuple_sums(tables: list, p: int):
     """Chunks (rows, encodings) of the group sums over every tuple of table
     rows, rows[k] indexing tables[k], the first table varying fastest; with
-    no tables, the one empty tuple sums to 0."""
+    no tables, the one empty tuple sums to 0.
+
+    The chunk buffers are allocated once and reused, so the rows are views
+    that stay valid only until the next chunk; the encodings are fresh.
+    """
     total = math.prod(len(t) for t in tables)
+    size = min(_CHUNK, total)
+    steps = np.arange(size)
+    rest = np.empty(size, dtype=np.int64)
+    acc = np.empty((size, tables[0].shape[1] if tables else 1), dtype=np.int64)
+    gathered = np.empty_like(acc)
+    buffers = [np.empty(size, dtype=np.int64) for _ in tables]
     for start in range(0, total, _CHUNK):
-        rest = np.arange(start, min(start + _CHUNK, total))
-        acc, rows = np.zeros((rest.size, 1), dtype=np.int64), []
-        for t in tables:
-            rest, r = np.divmod(rest, len(t))
-            rows.append(r)
-            acc = acc + t[r]
-        yield rows, _undigits(acc % p, p)
+        m = min(_CHUNK, total - start)
+        index, sums, rows = rest[:m], acc[:m], [b[:m] for b in buffers]
+        np.add(steps[:m], start, out=index)
+        sums.fill(0)
+        for t, r in zip(tables, rows):
+            np.divmod(index, len(t), out=(index, r))
+            # r < len(t); "clip" fills out directly, where "raise" buffers it
+            np.add(sums, np.take(t, r, axis=0, out=gathered[:m], mode="clip"), out=sums)
+        yield rows, _undigits(np.remainder(sums, p, out=sums), p)
 
 
 def _split_box(f: QuadForm, P: int):

@@ -1,29 +1,21 @@
 """The polynomial ring F_q[t]: arithmetic, factorization, multiplicative maps.
 
 Polynomials are immutable, little-endian coefficient tuples over a
-:class:`~quadricpoints.field.FieldCtx`.  The degree of the zero
-polynomial is a dedicated sentinel (``-inf``) rather than -1, so the
-absolute value ``|x| = q**deg(x)`` of zero is exactly 0 and ultrametric
-comparisons read naturally.
+:class:`~quadricpoints.field.FieldCtx`.
 
 Conventions used throughout:
 
 * gcds are monic (gcd(0, 0) is an error),
 * factorizations are ``unit * prod(pi_i ** k_i)`` with monic irreducible
-  pi_i listed in a canonical order (degree, then coefficient encoding),
-* the Jacobi symbol (a / r) is defined for monic r of degree >= 1 and is
-  0 exactly when gcd(a, r) != 1.
+  pi_i listed in a canonical order (degree, then coefficient encoding).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from .field import FieldCtx
-
-NEG_INF = -math.inf  # degree of the zero polynomial
 
 
 class Poly:
@@ -69,9 +61,9 @@ class Poly:
     # -- basic queries ------------------------------------------------------
 
     @property
-    def deg(self):
-        """Degree, with deg(0) = -inf so that abs respects the ultrametric."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def deg(self) -> int:
+        """Degree, with deg(0) = -1."""
+        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -437,32 +429,6 @@ def _legendre(a: Poly, pi: Poly) -> int:
     if power == Poly.constant(ctx, ctx.neg(1)):
         return -1
     raise RuntimeError("Euler criterion computed a non-sign value")
-
-
-def jacobi_symbol(a: Poly, r: Poly, fac: Factorization | None = None) -> int:
-    """The quadratic symbol (a / r), multiplicative in r; 0 iff gcd(a, r) != 1.
-
-    r must be monic of degree >= 1.  For a constant a in F_q^x the value
-    collapses to sign(a)^deg(r) where sign is the square-class character
-    of F_q^x, and this identity is exercised by the test suite.
-    """
-    if not r.is_monic() or r.is_constant():
-        raise ValueError("Jacobi symbol modulus must be monic of degree >= 1")
-    if a.ctx != r.ctx:
-        raise ValueError("mixed coefficient fields")
-    if fac is None:
-        fac = factorize(r)
-    out = 1
-    for pi, k in fac.factors:
-        if k % 2 == 0:
-            if _legendre(a, pi) == 0:
-                return 0
-            continue
-        s = _legendre(a, pi)
-        if s == 0:
-            return 0
-        out *= s
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from .field import FieldCtx
 from .formulas import (
     count_circle,
     count_exact,
+    count_primitive,
     morphism_count,
-    morphism_count_from_counts,
     phi_degree_sum,
     phi_power_sum,
 )
@@ -189,12 +189,7 @@ def suite_mor(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = DEFAULT
         for P in range(1, pmax + 1):
             closed = morphism_count(f, P)
             brute = brute_morphism_count(f, P, budget)
-            derived = morphism_count_from_counts(
-                count_exact(f, P + 1),
-                count_exact(f, P),
-                count_exact(f, P - 1) if P > 1 else 1,
-                ctx.q,
-            )
+            derived = count_primitive(f, P + 1) - count_primitive(f, P)
             rid = f"mor[{f.coeffs},P={P}]"
             out.append(_record(rid, closed=closed, brute=brute, derived=derived))
     return out

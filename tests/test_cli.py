@@ -174,7 +174,7 @@ def test_table_computes_each_convolution_once(capsys, monkeypatch):
         capsys, "table", "--p", "3", "--coeffs", "1,1,1", "--P-range", "1..3", "--method", "conv"
     )
     assert code == 0
-    assert sorted(calls) == [1, 2, 3, 4]  # N(0) = 1 needs no call
+    assert sorted(calls) == [0, 1, 2, 3, 4]
 
 
 def test_table_computes_each_brute_count_once(capsys, monkeypatch):

@@ -92,6 +92,20 @@ def test_twisted_gauss_sum(F3):
         twisted_gauss_sum_prime_power(t, t, 2)  # twist must be coprime to pi
 
 
+def test_twisted_gauss_sum_at_degree_two_base(F3):
+    # r = t^2 + 1 is irreducible over F_3, so the closed form reads the
+    # quadratic symbol (a / r) at a degree-two base: tau_r for squares mod r
+    t = Poly.gen(F3)
+    r = t * t + Poly.one(F3)
+    tau = gauss_sum(r)
+    units = [a for a in enumerate_below(F3, 2) if not a.is_zero()]
+    squares = {(a * a % r).encoding() for a in units}
+    for a in units:
+        expected = tau if a.encoding() in squares else -tau
+        assert twisted_gauss_sum(a, r) == expected
+        assert twisted_gauss_sum_prime_power(a, r, 1) == expected
+
+
 def test_local_factor_frozen_values(F3):
     t = Poly.gen(F3)
     f4 = QuadForm(F3, (1, 1, 1, 1))

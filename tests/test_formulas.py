@@ -22,10 +22,11 @@ from quadricpoints import (
     enumerate_below,
     enumerate_monic,
     morphism_count,
-    morphism_count_from_counts,
     phi_degree_sum,
     phi_power_sum,
 )
+from quadricpoints.formulas import primitive_from_counts
+from quadricpoints.oracle import morphisms_from_primitive
 from quadricpoints.polyring import euler_phi
 
 
@@ -91,11 +92,15 @@ def test_morphism_anchors(key, expected):
     assert morphism_count(f, P) == expected
 
 
-def test_count_circle_agrees_with_exact(F3):
-    for coeffs in [(1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2), (1, 2, 2, 1, 1)]:
-        f = QuadForm(F3, coeffs)
-        for P in (1, 2, 3):
-            assert count_circle(f, P) == count_exact(f, P)
+def test_count_circle_agrees_with_exact():
+    # every case tag for n = 3..6 over prime and non-prime fields, from N(0) = 1 up
+    for ctx in (FieldCtx(3), FieldCtx(5), FieldCtx(7), FieldCtx(3, 2), FieldCtx(11)):
+        nonsquare = next(u for u in ctx.units() if not ctx.is_square_unit(u))
+        for n in range(3, 7):
+            for coeffs in [(1,) * n, (1,) * (n - 1) + (nonsquare,)]:
+                f = QuadForm(ctx, coeffs)
+                for P in range(4 if ctx.q == 3 else 3):
+                    assert count_circle(f, P) == count_exact(f, P), (ctx.q, coeffs, P)
 
 
 def test_count_circle_small_n(F3):
@@ -116,18 +121,16 @@ def test_morphism_from_counts_consistency(F3):
     for coeffs in [(1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2)]:
         f = QuadForm(F3, coeffs)
         for P in (1, 2, 3):
-            n_plus = count_exact(f, P + 1)
-            n_mid = count_exact(f, P)
-            n_minus = count_exact(f, P - 1) if P >= 2 else 1  # N(0) = 1
-            got = morphism_count_from_counts(n_plus, n_mid, n_minus, 3)
-            assert got == morphism_count(f, P)
+            assert count_primitive(f, P + 1) - count_primitive(f, P) == morphism_count(f, P)
 
 
 def test_morphism_from_counts_rejects_inconsistent():
     with pytest.raises(ValueError):
-        morphism_count_from_counts(1, 0, 0, 3)  # 1 not divisible by q - 1 = 2
+        primitive_from_counts(4, 1, 3)  # 4 - 3 * 1 not divisible by q - 1 = 2
     with pytest.raises(ValueError):
-        morphism_count_from_counts(0, 10, 0, 3)  # negative result
+        primitive_from_counts(0, 10, 3)  # negative result
+    with pytest.raises(RuntimeError):
+        morphisms_from_primitive(3, 4)  # the primitive count decreased
 
 
 def test_phi_degree_sum_matches_enumeration(F3, F5):
@@ -203,7 +206,6 @@ def test_validation_errors(F3):
     f3 = QuadForm(F3, (1, 1, 1))
     with pytest.raises(ValueError):
         count_exact(f2, 1)
-    with pytest.raises(ValueError):
-        count_exact(f3, 0)
+    assert count_exact(f3, 0) == 1  # only the zero tuple
     with pytest.raises(ValueError):
         morphism_count(f3, 0)

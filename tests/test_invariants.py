@@ -42,6 +42,8 @@ def test_library_has_no_floating_point():
             return "cmath" in names
         if isinstance(node, ast.Constant):
             return isinstance(node.value, (float, complex))
+        if isinstance(node, ast.Attribute):
+            return node.attr in ("inf", "nan")  # math.inf, np.nan, ...
         return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("float", "complex")
 
     assert [where for where, node in _nodes() if is_float(node)] == []
@@ -57,3 +59,28 @@ def test_library_reads_no_environment():
         return isinstance(node, ast.Attribute) and node.attr in names
 
     assert [where for where, node in _nodes() if reads_environment(node)] == []
+
+
+def _package_imports(module: str) -> dict:
+    """{sibling module: names imported from it} for one module of the package
+    (the package imports itself only relatively)."""
+    out = {}
+    for node in ast.walk(ast.parse((ROOT / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = {a.name for a in node.names}
+            if node.module is None:  # from . import x
+                for name in names:
+                    out.setdefault(name, set()).add("*")
+            else:
+                out.setdefault(node.module, set()).update(names)
+    return out
+
+
+def test_oracle_shares_no_code_with_the_closed_routes():
+    """Agreement of the oracles with the closed and circle routes shows
+    something only while the two share no code above the F_q[t] layer."""
+    oracle = _package_imports("oracle")
+    assert set(oracle) <= {"field", "polyring", "expsums"}, oracle
+    assert oracle.get("expsums", {"QuadForm"}) == {"QuadForm"}, oracle
+    for module in ("formulas", "expsums", "characters", "cyclotomic"):
+        assert "oracle" not in _package_imports(module), module
