@@ -21,7 +21,7 @@ Layers, bottom to top:
 """
 
 from .characters import LaurentTail, ball_integral
-from .cyclotomic import CycInt, QScaled
+from .cyclotomic import CycInt
 from .expsums import (
     CaseTag,
     QuadForm,
@@ -84,7 +84,6 @@ __all__ = [
     "enumerate_monic",
     "irreducibles",
     "CycInt",
-    "QScaled",
     "LaurentTail",
     "ball_integral",
     "QuadForm",

@@ -12,15 +12,16 @@ alpha = a/r + theta is one tail too: ``expansion_tail(a, r, depth)``
 plus the tail of theta, and ``tail_char_exponent`` is the one way a
 term psi(alpha * v) is read.  Ball integrals over
 |theta| < q**M with the measure normalized by mu(integers) = 1 reduce to
-finite averages of tail evaluations, so they are exact elements of
-Z[zeta_p] / q**k, represented as :class:`~quadricpoints.cyclotomic.QScaled`.
+finite averages of tail evaluations in Z[zeta_p] / q**k; the integrals
+the library takes are exact rationals, returned as Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from .cyclotomic import CycInt, QScaled
+from .cyclotomic import CycInt
 from .field import FieldCtx
 from .polyring import Poly
 
@@ -129,17 +130,19 @@ def tails_supported(ctx: FieldCtx, lo: int, hi: int):
         yield LaurentTail(ctx, dict(zip(indices, combo)))
 
 
-def ball_integral(ctx: FieldCtx, M: int, depth: int, functional) -> QScaled:
+def ball_integral(ctx: FieldCtx, M: int, depth: int, functional) -> Fraction:
     """Exact integral of `functional` over the ball |theta| < q**M, M <= 0.
 
     `functional` maps a LaurentTail to a CycInt and must depend only on
     tail indices <= depth.  The ball consists of tails supported on
     indices > -M, so the integral is the exact finite average
 
-        q**(-depth) * sum of functional over tails on indices (-M, depth],
+        q**(-max(depth, -M)) * sum of functional over tails on indices (-M, depth].
 
-    and collapses to q**M * functional(0) when depth + M <= 0 (the
-    functional is then constant on the whole ball).
+    When depth + M <= 0 the index range is empty and its one tail is zero,
+    so this is q**M * functional(0): the functional is constant on the
+    whole ball.  The result is a Fraction; a total outside the rationals
+    raises ValueError.
     """
     if M > 0:
         raise ValueError("only balls inside the integers are supported")
@@ -148,9 +151,10 @@ def ball_integral(ctx: FieldCtx, M: int, depth: int, functional) -> QScaled:
     # spot-check that the integrand really is constant below its declared depth
     if functional(LaurentTail.single(ctx, depth + 1, 1)) != functional(LaurentTail.zero(ctx)):
         raise RuntimeError(f"integrand varies at depth {depth + 1}, deeper than declared")
-    if depth + M <= 0:
-        return QScaled(functional(LaurentTail.zero(ctx)), -M)
     total = CycInt.zero(ctx.p)
     for tail in tails_supported(ctx, 1 - M, depth):
         total = total + functional(tail)
-    return QScaled(total, depth)
+    value = total.to_int()
+    if value is None:
+        raise ValueError("the integral is not rational")
+    return Fraction(value, ctx.q ** max(depth, -M))

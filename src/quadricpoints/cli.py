@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import oracle
 from .expsums import QuadForm, classify
@@ -171,15 +171,6 @@ def _spec(ctx: FieldCtx, form: QuadForm | None = None, P_values=(), methods=()) 
 # computations behind the subcommands
 
 
-def _run_cells(tasks, jobs: int):
-    """Evaluate thunks, optionally in a thread pool; order is preserved."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [fut.result() for fut in futures]
-
-
 def _count_row(f: QuadForm, P: int, method: str, budget: int) -> dict:
     """One ``count`` data row."""
     label, count = METHODS[method]
@@ -194,9 +185,9 @@ def _count_row(f: QuadForm, P: int, method: str, budget: int) -> dict:
     }
 
 
-def cmd_count(f: QuadForm, P_values: list[int], methods: list[str], budget: int, jobs: int) -> dict:
-    tasks = [lambda P=P, m=m: _count_row(f, P, m, budget) for P in P_values for m in methods]
-    return {"data": _run_cells(tasks, jobs)}
+def cmd_count(f: QuadForm, P_values: list[int], methods: list[str], budget: int) -> dict:
+    # cells run in order, so a refusal stops all work
+    return {"data": [_count_row(f, P, m, budget) for P in P_values for m in methods]}
 
 
 def _table_column(f: QuadForm, P_values: list[int], method: str, budget: int):
@@ -290,7 +281,8 @@ def _make_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=oracle.DEFAULT_BUDGET, help="enumeration budget (evaluations)"
     )
     common.add_argument("--emit", choices=["json", "csv"], default="json")
-    common.add_argument("--jobs", type=int, default=1, help="parallel cells (threads)")
+    # kept for argv lists that still pass it; ROADMAP item 2 deletes it
+    common.add_argument("--jobs", type=int, default=1, help="accepted and ignored: cells run in order")
 
     form_args = argparse.ArgumentParser(add_help=False)
     form_args.add_argument("--coeffs", help="diagonal coefficients, comma separated")
@@ -340,16 +332,12 @@ def _apply_q_flag(args) -> None:
     args.p, args.nu = p, nu
 
 
-#: verify suite -> the bound flags it takes
-_VERIFY_KW = {
-    "gauss": ("maxdeg", "maxk"),
-    "local": ("nmax", "maxdeg"),
-    "weyl": ("n", "pmax"),
-    "arcs": ("nmax", "pmax"),
-    "counts": ("nmax", "pmax"),
-    "mor": ("nmax", "pmax"),
-    "phis": ("maxdeg", "mmax"),
-}
+#: the bound flags of ``verify``, sorted; a suite takes those its signature names
+_VERIFY_BOUNDS = ("maxdeg", "maxk", "mmax", "n", "nmax", "pmax")
+
+#: verify suite -> its parameter names, read from its signature at import,
+#: so a wrapper later put in place of a SUITES entry (a tracer's) hides none
+_SUITE_PARAMS = {name: tuple(inspect.signature(fn).parameters) for name, fn in SUITES.items()}
 
 
 def main(argv=None) -> int:
@@ -359,15 +347,15 @@ def main(argv=None) -> int:
         _apply_q_flag(args)
         ctx = _build_ctx(args)
         if args.command == "verify":
-            takes = _VERIFY_KW.get(args.suite, ())
-            bounds = sorted(set().union(*_VERIFY_KW.values()))
-            kwargs = {name: getattr(args, name) for name in bounds if getattr(args, name) is not None}
+            params = _SUITE_PARAMS.get(args.suite, ())
+            takes = [name for name in params if name in _VERIFY_BOUNDS]
+            kwargs = {name: getattr(args, name) for name in _VERIFY_BOUNDS if getattr(args, name) is not None}
             extra = [name for name in kwargs if name not in takes]
-            if extra and args.suite in _VERIFY_KW:
+            if extra and args.suite in _SUITE_PARAMS:
                 raise UsageError(
                     f"verify {args.suite} does not take --{', --'.join(extra)}; it takes --{', --'.join(takes)}"
                 )
-            if args.suite in ("counts", "mor"):
+            if "budget" in params:
                 kwargs["budget"] = args.budget
             spec, payload = _spec(ctx), cmd_verify(ctx, args.suite, kwargs)
         else:
@@ -378,7 +366,7 @@ def main(argv=None) -> int:
                 raise UsageError("P values must be >= 1")
             spec = _spec(ctx, f, P_values, methods)
             if args.command == "count":
-                payload = cmd_count(f, P_values, methods, args.budget, args.jobs)
+                payload = cmd_count(f, P_values, methods, args.budget)
             else:
                 payload = cmd_table(f, P_values, methods, args.budget)
         runtime_ms = int((time.monotonic() - start) * 1000)

@@ -4,17 +4,11 @@ A :class:`CycInt` stores integer coordinates with respect to the power
 basis 1, zeta, ..., zeta^(p-2); products are reduced modulo the p-th
 cyclotomic polynomial via zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
 Coordinates are arbitrary-precision Python ints, so character sums never
-round.
-
-:class:`QScaled` pairs a CycInt numerator with a power of q in the
-denominator; it is the exact value type of the normalized ball integrals
-in :mod:`quadricpoints.characters`.
+round.  The integrals built from these sums are exact rationals: their
+CycInt totals reduce to rational integers (``to_int``) over a power of q.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 
 class CycInt:
@@ -133,22 +127,3 @@ class CycInt:
 
     def __repr__(self):
         return f"CycInt(p={self.p}, {list(self.coeffs)})"
-
-
-@dataclass(frozen=True)
-class QScaled:
-    """Exact value num / q**qexp with num in Z[zeta_p] and qexp >= 0."""
-
-    num: CycInt
-    qexp: int
-
-    def __post_init__(self):
-        if self.qexp < 0:
-            raise ValueError("qexp must be >= 0")
-
-    def to_fraction(self, q: int) -> Fraction:
-        """Exact rational value; errors when the numerator is irrational."""
-        n = self.num.to_int()
-        if n is None:
-            raise ValueError("value is not rational")
-        return Fraction(n, q**self.qexp)

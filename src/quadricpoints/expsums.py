@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .characters import LaurentTail, ball_integral, expansion_tail, tail_char_exponent
-from .cyclotomic import CycInt, QScaled
+from .cyclotomic import CycInt
 from .field import FieldCtx
 from .polyring import (
     Poly,
@@ -164,14 +164,10 @@ def gauss_sum_prime_power(pi: Poly, k: int) -> CycInt:
 
 def twisted_gauss_sum_prime_power(a: Poly, pi: Poly, k: int) -> CycInt:
     """(a / pi)^k * tau_(pi^k); requires gcd(a, pi) = 1."""
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
-    if not is_irreducible(pi) or not pi.is_monic():
-        raise ValueError("base must be monic irreducible")
-    if a.is_zero() or not (a % pi):
+    tau = gauss_sum_prime_power(pi, k)  # checks k and pi
+    if not a % pi:
         raise ValueError("numerator must be coprime to the base")
-    sym = _legendre(a, pi) ** (k % 2)
-    return gauss_sum_prime_power(pi, k) * sym
+    return tau * _legendre(a, pi) ** (k % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +263,11 @@ def weyl_sum(f: QuadForm, a: Poly, r: Poly, tail: LaurentTail, P: int) -> CycInt
     return CycInt.from_exponent_counts(p, counts)
 
 
-def arc_integral_direct(f: QuadForm, r: Poly, P: int) -> QScaled:
+def arc_integral_direct(f: QuadForm, r: Poly, P: int) -> Fraction:
     """Integral of S(theta) over the arc ball |theta| < q^(-deg r - P).
 
-    Evaluated as an exact finite average of Weyl sums; S only depends on
-    tail indices up to 2P - 1 because deg f(x) <= 2P - 2 on the box.
+    Evaluated as an exact finite average of Weyl sums, a rational; S only
+    depends on tail indices up to 2P - 1 because deg f(x) <= 2P - 2 on the box.
     """
     _require_monic(r)
     rho = len(r.coeffs) - 1

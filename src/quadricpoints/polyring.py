@@ -226,7 +226,7 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# gcd and irreducibility
+# gcd and modular powers
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -249,46 +249,8 @@ def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
     return result
 
 
-def _frobenius_power(x: Poly, times: int, mod: Poly) -> Poly:
-    """x^(q^times) mod the given modulus."""
-    out = x % mod
-    for _ in range(times):
-        out = _powmod(out, x.ctx.q, mod)
-    return out
-
-
-def is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test; constants and the zero polynomial fail."""
-    d = len(f.coeffs) - 1
-    if d < 1:
-        return False
-    f = f.monic()
-    t = Poly.gen(f.ctx)
-    if _frobenius_power(t, d, f) != t % f:
-        return False
-    for l in _small_prime_divisors(d):
-        g = poly_gcd(_frobenius_power(t, d // l, f) - t, f)
-        if g.deg > 0:
-            return False
-    return True
-
-
-def _small_prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# factorization
+# factorization and irreducibility
 
 
 @dataclass(frozen=True)
@@ -358,6 +320,19 @@ def _one_irreducible_factor(f: Poly, rng: random.Random) -> Poly:
         if 2 * (d + 1) > w.deg:
             # no factor of degree <= d, so w itself is irreducible
             return w
+
+
+def is_irreducible(f: Poly) -> bool:
+    """Whether f is irreducible: its first irreducible factor is f itself.
+
+    Constants and the zero polynomial fail.  The generator is drawn from
+    only to split a reducible f, and then every seed yields a proper
+    factor, so the answer does not depend on it.
+    """
+    if f.deg < 1:
+        return False
+    f = f.monic()
+    return _one_irreducible_factor(f, random.Random(0)) == f
 
 
 def factorize(f: Poly) -> Factorization:

@@ -164,7 +164,7 @@ def suite_arcs(ctx: FieldCtx, nmax: int = 3, pmax: int = 2) -> list[dict]:
         for P in range(1, pmax + 1):
             for rho in range(0, P + 1):
                 for r in enumerate_monic(ctx, rho):
-                    lhs = arc_integral_direct(f, r, P).to_fraction(ctx.q)
+                    lhs = arc_integral_direct(f, r, P)
                     rhs = arc_integral_closed(f, r, P)
                     out.append(_record(f"arc[n={n},r={r},P={P}]", lhs=lhs, rhs=rhs))
     return out

@@ -156,18 +156,20 @@ def test_ball_integral_orthogonality(F3):
     for M in range(1, 4):
         for x in enumerate_below(F3, 4):
             depth = (0 if x.is_zero() else x.deg) + 1
-            val = ball_integral(
-                F3, -M, depth, lambda tail, x=x: psi(tail, x)
-            ).to_fraction(q)
+            val = ball_integral(F3, -M, depth, lambda tail, x=x: psi(tail, x))
             expected = Fraction(1, q**M) if (x.is_zero() or x.deg < M) else Fraction(0)
             assert val == expected
 
 
 def test_ball_integral_shortcut_region(F3):
-    # when the functional's depth is inside the ball, no summation happens:
-    # the constant value is scaled by the measure
+    # when the functional's depth is inside the ball, the sum has one tail,
+    # zero: the constant value is scaled by the measure
     val = ball_integral(F3, -3, 2, lambda tail: CycInt.from_int(3, 7))
-    assert val.to_fraction(3) == Fraction(7, 27)
+    assert isinstance(val, Fraction) and val == Fraction(7, 27)
+    # an irrational total is refused, collapsed (M = -3) or summed (M = -1)
+    for M in (-3, -1):
+        with pytest.raises(ValueError, match="not rational"):
+            ball_integral(F3, M, 2, lambda tail: CycInt.root_power(3, 1))
 
 
 def test_ball_integral_depth_guard(F3):

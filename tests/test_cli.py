@@ -188,8 +188,22 @@ def test_table_computes_each_brute_count_once(capsys, monkeypatch):
     assert sorted(full) == [1, 2]
 
 
+def test_count_refusal_stops_later_cells(capsys, monkeypatch):
+    # brute refuses 3^28 evaluations; the conv cell after it must not run
+    import quadricpoints.cli as cli_mod
+
+    calls = []
+    label, _ = cli_mod.METHODS["conv"]
+    monkeypatch.setitem(cli_mod.METHODS, "conv", (label, lambda f, P, budget: calls.append(P) or 0))
+    code, out, err = run(
+        capsys, "count", "--p", "3", "--coeffs", "1,1,1,1", "--P", "7", "--method", "brute,conv", "--jobs", "2"
+    )
+    assert code == 3 and out == "" and err.startswith("budget exceeded:")
+    assert calls == []
+
+
 def test_byte_determinism_across_runs_and_jobs(capsys):
-    # a table ignores --jobs; a count runs its cells in a thread pool
+    # --jobs is accepted and ignored: every command computes its cells in order
     cases = [
         (["table", "--p", "3", "--coeffs", "1,1,1,1", "--P-range", "1..2", "--method", "exact,conv"], ("1", "1", "3")),
         (["count", "--p", "3", "--coeffs", "1,1,1,2", "--P-range", "1..3", "--method", "exact,circle,brute,conv"], ("1", "1", "4")),

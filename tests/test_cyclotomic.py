@@ -1,10 +1,10 @@
-"""Exact arithmetic in Z[zeta_p] and q-power-scaled values."""
+"""Exact arithmetic in Z[zeta_p]."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadricpoints import CycInt, QScaled
+from quadricpoints import CycInt
 
 PRIMES = st.sampled_from((3, 5, 7))
 
@@ -80,18 +80,6 @@ def test_hash_consistency():
     assert hash(CycInt.from_int(3, 11)) == hash(CycInt.from_int(3, 11))
     seen = {CycInt.root_power(3, 1): "a"}
     assert seen[CycInt.root_power(3, 1)] == "a"
-
-
-def test_qscaled():
-    from fractions import Fraction
-
-    v = QScaled(CycInt.from_int(3, 10), 2)
-    assert v.to_fraction(3) == Fraction(10, 9)
-    irr = QScaled(CycInt.root_power(3, 1), 1)
-    with pytest.raises(ValueError):
-        irr.to_fraction(3)
-    with pytest.raises(ValueError):
-        QScaled(CycInt.from_int(3, 1), -1)
 
 
 def test_mismatched_roots_rejected():

@@ -61,6 +61,23 @@ def test_library_reads_no_environment():
     assert [where for where, node in _nodes() if reads_environment(node)] == []
 
 
+def test_library_starts_no_threads():
+    """Every computation runs in order in the calling thread, so the first
+    refusal stops all work and no lock guards shared state."""
+    banned = ("threading", "concurrent", "multiprocessing")
+
+    def imports_concurrency(node):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            return False
+        return any(name.split(".")[0] in banned for name in names)
+
+    assert [where for where, node in _nodes() if imports_concurrency(node)] == []
+
+
 def _package_imports(module: str) -> dict:
     """{sibling module: names imported from it} for one module of the package
     (the package imports itself only relatively)."""

@@ -77,7 +77,7 @@ def test_gcd_is_monic_and_divides(F3):
         poly_gcd(Poly.zero(F3), Poly.zero(F3))
 
 
-def test_irreducible_counts(F3, F9):
+def test_irreducible_counts(F3, F5, F9):
     # number of monic irreducibles of degree d over F_q:
     # (1/d) sum_{e | d} mu(e) q^(d/e)
     def expected(q, d):
@@ -101,10 +101,11 @@ def test_irreducible_counts(F3, F9):
                 total += mu * q ** (d // e)
         return total // d
 
-    for ctx in (F3, F9):
-        for d in (1, 2, 3):
+    fields = ((F3, 6), (F5, 4), (FieldCtx(7), 3), (F9, 3), (FieldCtx(5, 2), 2), (FieldCtx(3, 3), 2))
+    for ctx, maxdeg in fields:
+        for d in range(1, maxdeg + 1):
             got = sum(1 for _ in irreducibles(ctx, d))
-            assert got == expected(ctx.q, d)
+            assert got == expected(ctx.q, d), (ctx.q, d)
 
 
 def test_factorize_round_trip_exhaustive_deg3(F3):
@@ -138,7 +139,10 @@ def test_factorize_round_trip(f):
 def test_factorize_matches_sympy(f):
     p = f.ctx.p
     t = sympy.symbols("t")
-    unit, factors = sympy.Poly(list(reversed(f.coeffs)), t, modulus=p).factor_list()
+    theirs_poly = sympy.Poly(list(reversed(f.coeffs)), t, modulus=p)
+    # sympy calls constants irreducible; here they are not
+    assert is_irreducible(f) == (f.deg >= 1 and theirs_poly.is_irreducible)
+    unit, factors = theirs_poly.factor_list()
     # sympy writes residues symmetrically, in (-p/2, p/2]
     theirs = sorted(
         (tuple(int(c) % p for c in reversed(g.all_coeffs())), k) for g, k in factors
