@@ -11,11 +11,13 @@ Layers, bottom to top:
 
 * :mod:`quadricpoints.field`      - arithmetic in F_q, q an odd prime power
 * :mod:`quadricpoints.polyring`   - F_q[t]: factorization, phi, Moebius
+* :mod:`quadricpoints.forms`      - diagonal forms, case tags, derived counts
 * :mod:`quadricpoints.cyclotomic` - exact integer arithmetic in Z[zeta_p]
 * :mod:`quadricpoints.characters` - additive characters and ball integrals
-* :mod:`quadricpoints.expsums`    - case tags, Gauss sums, complete sums, arc integrals
+* :mod:`quadricpoints.expsums`    - Gauss sums, complete sums, arc integrals
 * :mod:`quadricpoints.formulas`   - closed-form counts
-* :mod:`quadricpoints.oracle`     - brute-force and convolution enumerators
+* :mod:`quadricpoints.oracle`     - brute-force and convolution enumerators,
+  which import only ``field`` and ``forms``
 * :mod:`quadricpoints.verify`     - identity suites tying the layers together
 * :mod:`quadricpoints.cli`        - ``quadricpoints`` command-line tool
 """
@@ -23,11 +25,8 @@ Layers, bottom to top:
 from .characters import LaurentTail, ball_integral
 from .cyclotomic import CycInt
 from .expsums import (
-    CaseTag,
-    QuadForm,
     arc_integral_closed,
     arc_integral_direct,
-    classify,
     form_exp_sum,
     gauss_sum,
     gauss_sum_prime_power,
@@ -38,11 +37,11 @@ from .expsums import (
     weyl_sum,
 )
 from .field import FieldCtx
+from .forms import CaseTag, QuadForm, classify, diagonalize
 from .formulas import (
     count_circle,
     count_exact,
     count_primitive,
-    diagonalize,
     morphism_count,
     phi_degree_sum,
     phi_power_sum,

@@ -25,10 +25,10 @@ import sys
 import time
 
 from . import oracle
-from .expsums import QuadForm, classify
 from .field import FieldCtx
-from .formulas import count_circle, count_exact, diagonalize, morphism_count, primitive_from_counts
-from .oracle import BudgetExceeded, brute_count, brute_primitive_count, convolution_count, morphisms_from_primitive
+from .forms import QuadForm, classify, diagonalize, morphisms_from_primitive, primitive_from_counts
+from .formulas import count_circle, count_exact, morphism_count
+from .oracle import BudgetExceeded, brute_count, brute_primitive_count, convolution_count
 from .verify import SUITES
 
 SCHEMA_VERSION = 1
@@ -229,6 +229,8 @@ def cmd_verify(ctx: FieldCtx, suite: str, kwargs: dict) -> dict:
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     records = SUITES[suite](ctx, **kwargs)
+    if not records:
+        raise UsageError(f"verify {suite} has no instances at these bounds")
     return {
         "data": [{"suite": suite, **rec} for rec in records],
         "passed": sum(1 for r in records if r["ok"]),
@@ -249,22 +251,29 @@ _CSV_COLUMNS = {
 
 
 def _emit(payload: dict, command: str, spec: dict, emit: str, runtime_ms: int, stream) -> None:
-    if emit == "csv":
-        columns = _CSV_COLUMNS[command]
-        writer = csv.writer(stream)
-        writer.writerow(columns)
-        for r in payload["data"]:
-            writer.writerow([int(r[c]) if isinstance(r[c], bool) else r[c] for c in columns])
-        return
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "spec": spec,
-        **payload,
-        "meta": {"runtime_ms": runtime_ms},
-    }
-    json.dump(doc, stream, indent=2)
-    stream.write("\n")
+    # counts are exact integers of any length: lift CPython's digit limit
+    # on int-to-str conversion for the write only
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if emit == "csv":
+            columns = _CSV_COLUMNS[command]
+            writer = csv.writer(stream)
+            writer.writerow(columns)
+            for r in payload["data"]:
+                writer.writerow([int(r[c]) if isinstance(r[c], bool) else r[c] for c in columns])
+            return
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "spec": spec,
+            **payload,
+            "meta": {"runtime_ms": runtime_ms},
+        }
+        json.dump(doc, stream, indent=2)
+        stream.write("\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +355,8 @@ def main(argv=None) -> int:
     try:
         _apply_q_flag(args)
         ctx = _build_ctx(args)
+        if args.budget < 1:
+            raise UsageError(f"--budget must be >= 1, got {args.budget}")
         if args.command == "verify":
             params = _SUITE_PARAMS.get(args.suite, ())
             takes = [name for name in params if name in _VERIFY_BOUNDS]
@@ -355,6 +366,9 @@ def main(argv=None) -> int:
                 raise UsageError(
                     f"verify {args.suite} does not take --{', --'.join(extra)}; it takes --{', --'.join(takes)}"
                 )
+            negative = [name for name, value in kwargs.items() if value < 0]
+            if negative:
+                raise UsageError(f"verify bounds must be >= 0: --{', --'.join(negative)}")
             if "budget" in params:
                 kwargs["budget"] = args.budget
             spec, payload = _spec(ctx), cmd_verify(ctx, args.suite, kwargs)

@@ -6,7 +6,9 @@ exists: a *direct* evaluator that sums characters term by term, and a
 suite insists the two agree exactly; the counting layer then leans on
 the closed forms only.
 
-The hierarchy, for a diagonal form f = a_1 X_1^2 + ... + a_n X_n^2:
+The hierarchy, for a diagonal form f = a_1 X_1^2 + ... + a_n X_n^2 (a
+:class:`~quadricpoints.forms.QuadForm`, whose case tag ``classify``
+gives the sign of the closed local factors):
 
 * ``twisted_gauss_sum(a, r)``      sum psi(a x^2 / r) over residues x
 * ``gauss_sum(r)``                 tau_r, the twisted sum at a = 1
@@ -23,13 +25,11 @@ once per sum, and psi(alpha v) is a dot product of it against v.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .characters import LaurentTail, ball_integral, expansion_tail, tail_char_exponent
 from .cyclotomic import CycInt
-from .field import FieldCtx
+from .forms import CaseTag, QuadForm, classify
 from .polyring import (
     Poly,
     enumerate_below,
@@ -44,77 +44,6 @@ from .polyring import (
 def qpow(q: int, e: int) -> Fraction:
     """q**e as an exact Fraction for any integer exponent."""
     return Fraction(q**e) if e >= 0 else Fraction(1, q ** (-e))
-
-
-class CaseTag(Enum):
-    """Shape of the quadric: even rank splits by the square class of the
-    signed determinant, odd rank is a single case."""
-
-    SPLIT_EVEN = "split_even"
-    NONSPLIT_EVEN = "nonsplit_even"
-    ODD = "odd"
-
-
-@dataclass(frozen=True)
-class QuadForm:
-    """Diagonal quadratic form sum(a_i X_i^2) with unit coefficients."""
-
-    ctx: FieldCtx
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
-            raise ValueError("a quadratic form needs at least one variable")
-        for a in self.coeffs:
-            if not 0 < a < self.ctx.q:
-                raise ValueError("diagonal coefficients must be nonzero field elements")
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs)
-
-    def det_unit(self) -> int:
-        """Product of the diagonal coefficients."""
-        out = 1
-        for a in self.coeffs:
-            out = self.ctx.mul(out, a)
-        return out
-
-    def signed_det_unit(self) -> int:
-        """(-1)^(n/2) * det for even n; the unit whose square class splits the cases."""
-        if self.n % 2:
-            raise ValueError("signed determinant only drives the even-rank cases")
-        d = self.det_unit()
-        if (self.n // 2) % 2:
-            d = self.ctx.neg(d)
-        return d
-
-    def value(self, xs) -> Poly:
-        xs = list(xs)
-        if len(xs) != self.n:
-            raise ValueError("wrong number of coordinates")
-        acc = Poly.zero(self.ctx)
-        for a, x in zip(self.coeffs, xs):
-            acc = acc + (x * x).scale(a)
-        return acc
-
-    def __str__(self):
-        return " + ".join(f"{a}*X{i + 1}^2" for i, a in enumerate(self.coeffs))
-
-
-def classify(f: QuadForm) -> CaseTag:
-    """Case split of the closed formulas.
-
-    Odd rank is one case.  For even rank the square class of
-    (-1)^(n/2) * a_1 * ... * a_n decides whether the quadric carries the
-    split or the nonsplit quadric space structure.
-    """
-    if f.n % 2:
-        return CaseTag.ODD
-    if f.ctx.is_square_unit(f.signed_det_unit()):
-        return CaseTag.SPLIT_EVEN
-    return CaseTag.NONSPLIT_EVEN
 
 
 # ---------------------------------------------------------------------------

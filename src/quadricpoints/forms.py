@@ -1,0 +1,169 @@
+"""Diagonal quadratic forms over F_q: the layer below both count routes.
+
+A form is a :class:`QuadForm`; :func:`diagonalize` builds one from a
+symmetric Gram matrix.  :func:`classify` decides the one invariant the
+closed formulas branch on: the parity of n and, for even n, the square
+class of the signed determinant.  The derived columns of a count table
+are arithmetic on counts alone: the primitive count from N(P) and
+N(P-1), and the morphism count from two primitive counts.
+
+This module depends on nothing above F_q[t], so the closed route
+(:mod:`~quadricpoints.expsums`, :mod:`~quadricpoints.formulas`) and the
+enumeration oracles (:mod:`~quadricpoints.oracle`) share only it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+
+from .field import FieldCtx
+from .polyring import Poly
+
+
+class CaseTag(Enum):
+    """Shape of the quadric: even rank splits by the square class of the
+    signed determinant, odd rank is a single case."""
+
+    SPLIT_EVEN = "split_even"
+    NONSPLIT_EVEN = "nonsplit_even"
+    ODD = "odd"
+
+
+@dataclass(frozen=True)
+class QuadForm:
+    """Diagonal quadratic form sum(a_i X_i^2) with unit coefficients."""
+
+    ctx: FieldCtx
+    coeffs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if not self.coeffs:
+            raise ValueError("a quadratic form needs at least one variable")
+        for a in self.coeffs:
+            if not 0 < a < self.ctx.q:
+                raise ValueError("diagonal coefficients must be nonzero field elements")
+
+    @property
+    def n(self) -> int:
+        return len(self.coeffs)
+
+    def det_unit(self) -> int:
+        """Product of the diagonal coefficients."""
+        out = 1
+        for a in self.coeffs:
+            out = self.ctx.mul(out, a)
+        return out
+
+    def signed_det_unit(self) -> int:
+        """(-1)^(n/2) * det for even n; the unit whose square class splits the cases."""
+        if self.n % 2:
+            raise ValueError("signed determinant only drives the even-rank cases")
+        d = self.det_unit()
+        if (self.n // 2) % 2:
+            d = self.ctx.neg(d)
+        return d
+
+    def value(self, xs) -> Poly:
+        xs = list(xs)
+        if len(xs) != self.n:
+            raise ValueError("wrong number of coordinates")
+        acc = Poly.zero(self.ctx)
+        for a, x in zip(self.coeffs, xs):
+            acc = acc + (x * x).scale(a)
+        return acc
+
+    def __str__(self):
+        return " + ".join(f"{a}*X{i + 1}^2" for i, a in enumerate(self.coeffs))
+
+
+def classify(f: QuadForm) -> CaseTag:
+    """Case split of the closed formulas.
+
+    Odd rank is one case.  For even rank the square class of
+    (-1)^(n/2) * a_1 * ... * a_n decides whether the quadric carries the
+    split or the nonsplit quadric space structure.
+    """
+    if f.n % 2:
+        return CaseTag.ODD
+    if f.ctx.is_square_unit(f.signed_det_unit()):
+        return CaseTag.SPLIT_EVEN
+    return CaseTag.NONSPLIT_EVEN
+
+
+def diagonalize(ctx: FieldCtx, gram) -> QuadForm:
+    """Diagonal model of the quadratic form x^T G x for symmetric G.
+
+    Runs symmetric Gaussian elimination (congruence transformations) in
+    odd characteristic.  Degenerate input is rejected.  The diagonal
+    returned is equivalent to G, not unique, but its CaseTag and counts
+    are invariants.
+    """
+    n = len(gram)
+    G = [list(row) for row in gram]
+    for row in G:
+        if len(row) != n:
+            raise ValueError("Gram matrix must be square")
+    for i in range(n):
+        for j in range(n):
+            if G[i][j] != G[j][i]:
+                raise ValueError("Gram matrix must be symmetric")
+            if not 0 <= G[i][j] < ctx.q:
+                raise ValueError("Gram entries must be F_q encodings")
+    diag = []
+    for i in range(n):
+        if G[i][i] == 0:
+            pivot = next((j for j in range(i + 1, n) if G[j][j] != 0), None)
+            if pivot is not None:
+                for k in range(n):
+                    G[i][k], G[pivot][k] = G[pivot][k], G[i][k]
+                for k in range(n):
+                    G[k][i], G[k][pivot] = G[k][pivot], G[k][i]
+            else:
+                off = next((j for j in range(i + 1, n) if G[i][j] != 0), None)
+                if off is None:
+                    raise ValueError("Gram matrix is degenerate")
+                # x_i -> x_i + x_off makes the diagonal entry 2*G[i][off] != 0
+                for k in range(n):
+                    G[i][k] = ctx.add(G[i][k], G[off][k])
+                for k in range(n):
+                    G[k][i] = ctx.add(G[k][i], G[k][off])
+        d = G[i][i]
+        inv_d = ctx.inv(d)
+        for j in range(i + 1, n):
+            c = ctx.mul(G[i][j], inv_d)
+            if c:
+                for k in range(n):
+                    G[j][k] = ctx.sub(G[j][k], ctx.mul(c, G[i][k]))
+                for k in range(n):
+                    G[k][j] = ctx.sub(G[k][j], ctx.mul(c, G[k][i]))
+        diag.append(G[i][i])
+    if any(d == 0 for d in diag):
+        raise ValueError("Gram matrix is degenerate")
+    return QuadForm(ctx, tuple(diag))
+
+
+# ---------------------------------------------------------------------------
+# the derived columns: arithmetic on counts, whichever route produced them
+
+
+def primitive_from_counts(n_mid: int, n_minus: int, q: int) -> int:
+    """Primitive count at P from N(P), N(P-1): (N(P) - q N(P-1)) / (q - 1) + 1.
+
+    Non-divisibility or a negative result signals inconsistent inputs.
+    """
+    num = n_mid - q * n_minus
+    if num % (q - 1):
+        raise ValueError("counts are inconsistent: difference not divisible by q - 1")
+    out = num // (q - 1) + 1
+    if out < 0:
+        raise ValueError("counts are inconsistent: negative primitive count")
+    return out
+
+
+def morphisms_from_primitive(prim_above: int, prim: int) -> int:
+    """Degree-P morphism count from the primitive counts at P + 1 and P."""
+    if prim_above < prim:
+        raise RuntimeError("primitive counts decreased with the box")
+    return prim_above - prim

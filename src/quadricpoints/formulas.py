@@ -2,10 +2,12 @@
 
 For f = a_1 X_1^2 + ... + a_n X_n^2 with unit coefficients, N(P) counts
 solutions of f = 0 with all coordinates of height |x_i| < q^P.  The
-closed forms split into three cases (see :class:`CaseTag`): even n with
-square signed determinant, even n with nonsquare signed determinant, and
-odd n.  From N one derives the primitive count and the number of degree-P
-morphisms from the projective line into the quadric.
+closed forms split into three cases (see
+:class:`~quadricpoints.forms.CaseTag`): even n with square signed
+determinant, even n with nonsquare signed determinant, and odd n; they
+cover every n >= 1.  From N one derives the primitive count (through
+:func:`~quadricpoints.forms.primitive_from_counts`) and the number of
+degree-P morphisms from the projective line into the quadric.
 
 Two independent evaluation routes are provided: ``count_exact`` applies
 the case formulas, ``count_circle`` reassembles N(P) from closed local
@@ -17,61 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expsums import CaseTag, QuadForm, arc_integral_closed, classify, local_factor_closed, qpow
-from .field import FieldCtx
+from .expsums import arc_integral_closed, local_factor_closed, qpow
+from .forms import CaseTag, QuadForm, classify, primitive_from_counts
 from .polyring import Poly, enumerate_monic
-
-
-def diagonalize(ctx: FieldCtx, gram) -> QuadForm:
-    """Diagonal model of the quadratic form x^T G x for symmetric G.
-
-    Runs symmetric Gaussian elimination (congruence transformations) in
-    odd characteristic.  Degenerate input is rejected.  The diagonal
-    returned is equivalent to G, not unique, but its CaseTag and counts
-    are invariants.
-    """
-    n = len(gram)
-    G = [list(row) for row in gram]
-    for row in G:
-        if len(row) != n:
-            raise ValueError("Gram matrix must be square")
-    for i in range(n):
-        for j in range(n):
-            if G[i][j] != G[j][i]:
-                raise ValueError("Gram matrix must be symmetric")
-            if not 0 <= G[i][j] < ctx.q:
-                raise ValueError("Gram entries must be F_q encodings")
-    diag = []
-    for i in range(n):
-        if G[i][i] == 0:
-            pivot = next((j for j in range(i + 1, n) if G[j][j] != 0), None)
-            if pivot is not None:
-                for k in range(n):
-                    G[i][k], G[pivot][k] = G[pivot][k], G[i][k]
-                for k in range(n):
-                    G[k][i], G[k][pivot] = G[k][pivot], G[k][i]
-            else:
-                off = next((j for j in range(i + 1, n) if G[i][j] != 0), None)
-                if off is None:
-                    raise ValueError("Gram matrix is degenerate")
-                # x_i -> x_i + x_off makes the diagonal entry 2*G[i][off] != 0
-                for k in range(n):
-                    G[i][k] = ctx.add(G[i][k], G[off][k])
-                for k in range(n):
-                    G[k][i] = ctx.add(G[k][i], G[k][off])
-        d = G[i][i]
-        inv_d = ctx.inv(d)
-        for j in range(i + 1, n):
-            c = ctx.mul(G[i][j], inv_d)
-            if c:
-                for k in range(n):
-                    G[j][k] = ctx.sub(G[j][k], ctx.mul(c, G[i][k]))
-                for k in range(n):
-                    G[k][j] = ctx.sub(G[k][j], ctx.mul(c, G[k][i]))
-        diag.append(G[i][i])
-    if any(d == 0 for d in diag):
-        raise ValueError("Gram matrix is degenerate")
-    return QuadForm(ctx, tuple(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +73,16 @@ def _as_int(x: Fraction, what: str) -> int:
 
 
 def count_exact(f: QuadForm, P: int) -> int:
-    """N(P) by the closed case formulas; defined for n >= 3 and P >= 0."""
+    """N(P) by the closed case formulas; defined for n >= 1 and P >= 0."""
     n = f.n
     q = f.ctx.q
-    if n < 3:
-        raise ValueError("closed count formulas need n >= 3")
     if P < 0:
         raise ValueError("closed count formulas need P >= 0")
     tag = classify(f)
+    if n <= 2:
+        # a x^2 and an anisotropic plane vanish only at 0; a split plane is
+        # two lines through 0
+        return 2 * q**P - 1 if tag is CaseTag.SPLIT_EVEN else 1
     even_P = P % 2 == 0
     if tag is CaseTag.ODD:
         if n == 3:
@@ -196,32 +148,17 @@ def count_primitive(f: QuadForm, P: int) -> int:
     """Primitive solutions up to units: (N(P) - q N(P-1)) / (q - 1) + 1."""
     if P < 1:
         raise ValueError("primitive counts need P >= 1")
-    count = count_exact if f.n >= 3 else count_circle
-    return primitive_from_counts(count(f, P), count(f, P - 1), f.ctx.q)
-
-
-def primitive_from_counts(n_mid: int, n_minus: int, q: int) -> int:
-    """Primitive count at P from N(P), N(P-1): (N(P) - q N(P-1)) / (q - 1) + 1.
-
-    Non-divisibility or a negative result signals inconsistent inputs.
-    """
-    num = n_mid - q * n_minus
-    if num % (q - 1):
-        raise ValueError("counts are inconsistent: difference not divisible by q - 1")
-    out = num // (q - 1) + 1
-    if out < 0:
-        raise ValueError("counts are inconsistent: negative primitive count")
-    return out
+    return primitive_from_counts(count_exact(f, P), count_exact(f, P - 1), f.ctx.q)
 
 
 def morphism_count(f: QuadForm, P: int) -> int:
     """#Mor_P(P^1, X) by the closed formulas, X the quadric f = 0; P >= 1."""
     n = f.n
     q = f.ctx.q
-    if n < 3:
-        raise ValueError("morphism counts need n >= 3")
     if P < 1:
         raise ValueError("morphism counts need P >= 1")
+    if n <= 2:
+        return 0  # the quadric is at most two points, where no map of degree >= 1 lands
     tag = classify(f)
     even_P = P % 2 == 0
     if tag is CaseTag.ODD:

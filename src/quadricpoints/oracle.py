@@ -10,8 +10,9 @@ added digit by digit, with elements encoded below G = q^(2P-1).
 * Convolution: the mass at 0 is G^-1 sum_xi prod_i H_i^(xi), with H_i^
   the length-p Fourier transform of variable i's value histogram along
   each axis, taken exactly modulo primes l = 1 (mod p) and recovered by
-  CRT.  It raises unless the moduli multiply past the box size q^(nP)
-  and p (l - 1)^2 < 2^63, so no int64 sum of p products overflows.
+  CRT as a Python int of any size.  It raises unless the moduli
+  multiply past the box size q^(nP) and p (l - 1)^2 < 2^63, so no int64
+  sum of p products overflows.
 * Brute force: the sums of the first n - 2 coordinates are formed in
   chunks of ``_CHUNK`` tuples and looked up in the histogram of the
   q^(2P) sums of the last pair.
@@ -29,8 +30,8 @@ from collections import Counter
 
 import numpy as np
 
-from .expsums import QuadForm
 from .field import FieldCtx, is_prime
+from .forms import QuadForm, morphisms_from_primitive
 
 DEFAULT_BUDGET = 10**8
 
@@ -199,13 +200,6 @@ def brute_primitive_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> 
     return acc // (ctx.q - 1)
 
 
-def morphisms_from_primitive(prim_above: int, prim: int) -> int:
-    """Degree-P morphism count from the primitive counts at P + 1 and P."""
-    if prim_above < prim:
-        raise RuntimeError("primitive counts decreased with the box")
-    return prim_above - prim
-
-
 def brute_morphism_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
     """Degree-P morphism count as the increment of the primitive count.
 
@@ -260,8 +254,6 @@ def convolution_count(f: QuadForm, P: int) -> int:
     if G > CONVOLUTION_STATE_CAP:
         raise BudgetExceeded(f"value group has {G} elements, above the cap {CONVOLUTION_STATE_CAP}")
     bound = q ** (f.n * P)
-    if bound >= 2**62:
-        raise BudgetExceeded("count could overflow 64-bit accumulators")
     moduli = _crt_primes(p, bound)
     if math.prod(moduli) <= bound or any(p * (l - 1) ** 2 >= 2**63 for l in moduli):
         raise BudgetExceeded(f"no primes l = 1 (mod {p}) with p (l - 1)^2 < 2^63 cover counts up to {bound}")

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .characters import LaurentTail, ratio_char_exponent
 from .cyclotomic import CycInt
 from .expsums import (
-    QuadForm,
     arc_integral_closed,
     arc_integral_direct,
     form_exp_sum,
@@ -28,6 +27,7 @@ from .expsums import (
     weyl_sum,
 )
 from .field import FieldCtx
+from .forms import QuadForm
 from .formulas import (
     count_circle,
     count_exact,
@@ -36,7 +36,7 @@ from .formulas import (
     phi_degree_sum,
     phi_power_sum,
 )
-from .oracle import DEFAULT_BUDGET, brute_count, brute_morphism_count
+from .oracle import DEFAULT_BUDGET, brute_count, brute_morphism_count, convolution_count
 from .polyring import (
     Poly,
     enumerate_below,
@@ -173,18 +173,25 @@ def suite_arcs(ctx: FieldCtx, nmax: int = 3, pmax: int = 2) -> list[dict]:
 def suite_counts(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = DEFAULT_BUDGET) -> list[dict]:
     out = []
     for f in _form_family(ctx, nmax):
-        if f.n < 3:
+        if f.n < 3:  # the paper's range, which fixes the record ids
             continue
         for P in range(1, pmax + 1):
-            b, e, c = brute_count(f, P, budget), count_exact(f, P), count_circle(f, P)
-            out.append(_record(f"N[{f.coeffs},P={P}]", brute=b, exact=e, circle=c))
+            out.append(
+                _record(
+                    f"N[{f.coeffs},P={P}]",
+                    brute=brute_count(f, P, budget),
+                    exact=count_exact(f, P),
+                    circle=count_circle(f, P),
+                    conv=convolution_count(f, P),
+                )
+            )
     return out
 
 
 def suite_mor(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = DEFAULT_BUDGET) -> list[dict]:
     out = []
     for f in _form_family(ctx, nmax):
-        if f.n < 3:
+        if f.n < 3:  # the paper's range, which fixes the record ids
             continue
         for P in range(1, pmax + 1):
             closed = morphism_count(f, P)

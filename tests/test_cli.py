@@ -1,6 +1,7 @@
 """End-to-end exercising of the command-line interface via main(argv)."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -59,7 +60,6 @@ def test_usage_errors(capsys):
         ("count", "--q", "1", "--coeffs", "1,1,1", "--P", "1"),
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "0"),
         ("count", "--p", "3", "--coeffs", "1,0,1", "--P", "1"),  # zero coefficient
-        ("count", "--p", "3", "--coeffs", "1,2", "--P", "1", "--method", "exact"),
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P-range", "nonsense"),
         ("count", "--p", "3", "--coeffs", "1,,1,1", "--P", "1"),  # empty item
         ("count", "--p", "3", "--coeffs", "1,1,1,", "--P", "1"),  # trailing comma
@@ -68,6 +68,8 @@ def test_usage_errors(capsys):
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--method", "exact,"),
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--method", "exact,,circle"),
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P-range", "1:2"),  # only 'lo..hi'
+        ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--method", "brute", "--budget", "-5"),
+        ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--method", "brute", "--budget", "0"),
         ("verify", "nosuch", "--p", "3"),
         ("verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1"),
         ("verify", "phis", "--p", "5", "--pmax", "5"),
@@ -110,6 +112,44 @@ def test_budget_exit_code(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("counts", "--pmax", "0"),
+        ("mor", "--pmax", "0"),
+        ("weyl", "--pmax", "0"),
+        ("local", "--nmax", "0"),
+        ("arcs", "--nmax", "1"),
+        ("gauss", "--maxdeg", "-1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_verify_refuses_an_empty_or_negative_grid(capsys, argv):
+    code, out, err = run(capsys, "verify", argv[0], "--p", "3", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: verify ")
+
+
+def test_emitter_writes_counts_of_any_length(capsys):
+    from quadricpoints import FieldCtx, QuadForm, count_exact
+
+    limit = sys.get_int_max_str_digits()
+    argv = ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "10000", "--method", "exact")
+    code, json_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, csv_out, _ = run(capsys, *argv, "--emit", "csv")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # the emitter restored the limit
+    want = count_exact(QuadForm(FieldCtx(3), (1, 1, 1)), 10000)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(want)) > limit
+        assert json.loads(json_out)["data"][0]["value"] == want
+        assert csv_out.splitlines()[1] == f"3,3,odd,10000,exact_formula,{want}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verify_suite_pass(capsys):
@@ -285,3 +325,17 @@ def test_failing_verify_record_carries_both_sides(capsys, monkeypatch):
         "id": "m", "ok": False, "closed": 3, "brute": 4, "derived": 3,
     }
     assert verify_mod._record("a", lhs=Fraction(1, 3), rhs=Fraction(1, 9))["lhs"] == "1/3"
+
+
+def test_verify_counts_checks_the_convolution(capsys, monkeypatch):
+    import quadricpoints.verify as verify_mod
+
+    conv = verify_mod.convolution_count
+    monkeypatch.setattr(verify_mod, "convolution_count", lambda f, P: conv(f, P) + 1)
+    code, out, _ = run(capsys, "verify", "counts", "--p", "3", "--nmax", "3", "--pmax", "1")
+    assert code == 1
+    record = json.loads(out)["data"][0]
+    assert record == {
+        "suite": "counts", "id": "N[(1, 1, 1),P=1]", "ok": False,
+        "brute": 9, "exact": 9, "circle": 9, "conv": 10,
+    }

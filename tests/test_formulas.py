@@ -11,22 +11,24 @@ from fractions import Fraction
 import pytest
 
 from quadricpoints import (
-    CaseTag,
     FieldCtx,
-    QuadForm,
-    classify,
     count_circle,
     count_exact,
     count_primitive,
-    diagonalize,
     enumerate_below,
     enumerate_monic,
     morphism_count,
     phi_degree_sum,
     phi_power_sum,
 )
-from quadricpoints.formulas import primitive_from_counts
-from quadricpoints.oracle import morphisms_from_primitive
+from quadricpoints.forms import (
+    CaseTag,
+    QuadForm,
+    classify,
+    diagonalize,
+    morphisms_from_primitive,
+    primitive_from_counts,
+)
 from quadricpoints.polyring import euler_phi
 
 
@@ -104,11 +106,25 @@ def test_count_circle_agrees_with_exact():
 
 
 def test_count_circle_small_n(F3):
-    # no closed formula below three variables, but the circle route works
+    # below three variables the closed counts are N = 1, or 2 q^P - 1 on a split plane
     f1 = QuadForm(F3, (1,))
     f2 = QuadForm(F3, (1, 2))
-    assert count_circle(f1, 2) == 1  # x^2 = 0 forces x = 0
-    assert count_circle(f2, 2) == 17  # oracle-frozen
+    assert count_circle(f1, 2) == count_exact(f1, 2) == 1  # x^2 = 0 forces x = 0
+    assert count_circle(f2, 2) == count_exact(f2, 2) == 17  # oracle-frozen
+
+
+def test_closed_counts_below_three_variables():
+    # every case tag at n = 1, 2 over prime and non-prime fields, from N(0) = 1 up
+    for ctx in (FieldCtx(3), FieldCtx(5), FieldCtx(7), FieldCtx(3, 2), FieldCtx(11)):
+        nonsquare = next(u for u in ctx.units() if not ctx.is_square_unit(u))
+        for coeffs in [(1,), (nonsquare,), (1, 1), (1, nonsquare)]:
+            f = QuadForm(ctx, coeffs)
+            split = classify(f) is CaseTag.SPLIT_EVEN
+            for P in range(4 if ctx.q == 3 else 3):
+                assert count_exact(f, P) == count_circle(f, P) == (2 * ctx.q**P - 1 if split else 1)
+            for P in (1, 2, 3):
+                assert count_primitive(f, P) == (2 if split else 0)
+                assert morphism_count(f, P) == 0
 
 
 def test_count_primitive(F3):
@@ -204,8 +220,11 @@ def test_diagonalize_rejects_bad_input(F3):
 def test_validation_errors(F3):
     f2 = QuadForm(F3, (1, 2))
     f3 = QuadForm(F3, (1, 1, 1))
-    with pytest.raises(ValueError):
-        count_exact(f2, 1)
+    assert count_exact(f2, 1) == 5  # the split plane: two lines through 0
     assert count_exact(f3, 0) == 1  # only the zero tuple
     with pytest.raises(ValueError):
+        count_exact(f3, -1)
+    with pytest.raises(ValueError):
         morphism_count(f3, 0)
+    with pytest.raises(ValueError):
+        morphism_count(f2, 0)

@@ -14,7 +14,6 @@ from quadricpoints import (
     brute_morphism_count,
     brute_primitive_count,
     convolution_count,
-    count_circle,
     count_exact,
     count_primitive,
     irreducibles,
@@ -119,9 +118,8 @@ def test_oracles_agree_with_formulas_over_wider_fields(q):
             for P in (1, 2, 3):
                 if q ** (n * P) > DEFAULT_BUDGET or q ** (2 * P - 1) > CONVOLUTION_STATE_CAP:
                     continue
-                want = count_exact(f, P) if n >= 3 else count_circle(f, P)
-                assert brute_count(f, P) == convolution_count(f, P) == want, (coeffs, P)
-                if n >= 3 and q ** (n * (P + 1)) <= DEFAULT_BUDGET:
+                assert brute_count(f, P) == convolution_count(f, P) == count_exact(f, P), (coeffs, P)
+                if q ** (n * (P + 1)) <= DEFAULT_BUDGET:
                     assert brute_primitive_count(f, P) == count_primitive(f, P), (coeffs, P)
                     assert brute_morphism_count(f, P) == morphism_count(f, P), (coeffs, P)
 
@@ -140,6 +138,17 @@ def test_convolution_at_a_large_prime():
     # one base-p axis of length 10007: the transform runs in row blocks
     f = QuadForm(FieldCtx(10007), (1, 1, 1))
     assert convolution_count(f, 1) == count_exact(f, 1)
+
+
+@pytest.mark.parametrize("q, n, P", [(3, 14, 3), (3, 100, 2), (7, 61, 3)])
+def test_convolution_past_64_bits(q, n, P):
+    # q^(nP) >= 2^62: the CRT moduli multiply past the box, and the count is a Python int
+    ctx = FieldCtx(q)
+    assert q ** (n * P) >= 2**62
+    nonsquare = min(a for a in ctx.units() if not ctx.is_square_unit(a))
+    for coeffs in [(1,) * n, (1,) * (n - 1) + (nonsquare,)]:
+        f = QuadForm(ctx, coeffs)
+        assert convolution_count(f, P) == count_exact(f, P), coeffs
 
 
 def test_convolution_refuses_without_crt_moduli():
