@@ -280,6 +280,7 @@ def _emit(payload: dict, command: str, spec: dict, emit: str, runtime_ms: int, s
 # argument wiring
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, help="odd prime characteristic")

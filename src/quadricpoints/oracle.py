@@ -1,22 +1,31 @@
 """Enumeration oracles for cross-checking the closed formulas.
 
-``brute_count`` touches every coordinate tuple in the height box; it is
-the ground truth the rest of the library is validated against, and it
-refuses jobs above an evaluation budget.  ``convolution_count`` is the
-big-box substitute.  Values live in F_q[t]/t^(2P-1): under the base-p
-digits of the coefficient encodings, the group (Z/p)^K, K = (2P-1) nu,
-added digit by digit, with elements encoded below G = q^(2P-1).
+``brute_count`` counts the coordinate tuples of the height box exactly
+and is the ground truth the rest of the library is validated against;
+it refuses jobs above an evaluation budget of q^(nP).
+``convolution_count`` is the big-box substitute.  Values live in
+F_q[t]/t^(2P-1): under the base-p digits of the coefficient encodings,
+the group (Z/p)^K, K = (2P-1) nu, added digit by digit, with elements
+encoded below G = q^(2P-1).
 
+* Brute force meets in the middle: the sums of the last floor(n/2)
+  coordinates and the negated sums of the first ceil(n/2), formed in
+  chunks of ``_CHUNK`` tuples, are histogrammed, and N is the dot
+  product of the two histograms.  That touches q^(ceil(n/2) P) +
+  q^(floor(n/2) P) tuples.
 * Convolution: the mass at 0 is G^-1 sum_xi prod_i H_i^(xi), with H_i^
   the length-p Fourier transform of variable i's value histogram along
   each axis, taken exactly modulo primes l = 1 (mod p) and recovered by
-  CRT as a Python int of any size.  It raises unless the moduli
+  CRT as a Python int of any size.  x -> s x permutes the box, so
+  a x^2 has the histogram of x^2 when a is a square and of u x^2, u a
+  fixed nonsquare, when it is not; and H_u^(xi) = H_1^(M^T xi), M the
+  multiplication by u on each nu-digit block.  So one transform per
+  modulus serves every coefficient.  It raises unless the moduli
   multiply past the box size q^(nP) and p (l - 1)^2 < 2^63, so no int64
   sum of p products overflows.
-* Brute force: the sums of the first n - 2 coordinates are formed in
-  chunks of ``_CHUNK`` tuples and looked up in the histogram of the
-  q^(2P) sums of the last pair.
-* Primitivity: each box element has a bitmask of its monic irreducible
+* Primitivity: the sums of the first n - 2 coordinates are looked up in
+  the histogram of the q^(2P) sums of the last pair, which lists every
+  solution.  Each box element has a bitmask of its monic irreducible
   divisors of degree <= P - 1 (zero has every bit); a tuple has gcd 1
   iff its masks AND to 0.  A sieve builds them: in ascending degree, a
   monic element no smaller irreducible divides is irreducible and marks
@@ -25,8 +34,9 @@ added digit by digit, with elements encoded below G = q^(2P-1).
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -86,13 +96,19 @@ def _poly_mul(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _undigits(out % ctx.p, ctx.p)
 
 
+def _box_squares(ctx: FieldCtx, P: int) -> np.ndarray:
+    """The coefficient encodings (q^P, 2P - 1) of x^2, x the box polynomial
+    with encoding equal to the row."""
+    box = _digits(np.arange(ctx.q**P), ctx.q, P)
+    return _poly_mul(ctx, box, box)
+
+
 def _box_values(f: QuadForm, P: int) -> dict:
     """Per distinct coefficient a, the group digits (q^P, K) of a x^2, x the
     box polynomial with encoding equal to the row."""
     ctx = f.ctx
-    box = _digits(np.arange(ctx.q**P), ctx.q, P)
-    squares = _poly_mul(ctx, box, box)
-    return {a: _digits(_fq_mul(ctx, a, squares), ctx.p, ctx.nu).reshape(len(box), -1) for a in set(f.coeffs)}
+    squares = _box_squares(ctx, P)
+    return {a: _digits(_fq_mul(ctx, a, squares), ctx.p, ctx.nu).reshape(len(squares), -1) for a in set(f.coeffs)}
 
 
 def _tuple_sums(tables: list, p: int):
@@ -122,6 +138,15 @@ def _tuple_sums(tables: list, p: int):
         yield rows, _undigits(np.remainder(sums, p, out=sums), p)
 
 
+def _sum_histogram(tables: list, p: int, bins: int) -> np.ndarray:
+    """How often each group sum occurs over every tuple of table rows,
+    streamed a chunk at a time; every sum must lie below ``bins``."""
+    hist = np.zeros(bins, dtype=np.int64)
+    for _, sums in _tuple_sums(tables, p):
+        hist += np.bincount(sums, minlength=bins)
+    return hist
+
+
 def _split_box(f: QuadForm, P: int):
     """The negated digit tables of the first n - 2 variables, and the
     sums of every tuple of the last (at most two) at i_(n-1) + q^P i_n."""
@@ -132,22 +157,25 @@ def _split_box(f: QuadForm, P: int):
 
 
 def brute_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
-    """N(P) by full enumeration of the q^(nP) coordinate tuples.
+    """N(P) by exact enumeration of the height box, meeting in the middle.
 
-    Every setting of the first n - 2 coordinates is formed explicitly;
-    the final pairs that complete it to 0 are counted by a lookup in the
-    histogram of all pair sums.
+    The sums of the last k = floor(n/2) coordinates are histogrammed, and
+    so are the negated sums of the first n - k; N is the dot product of
+    the two histograms.  The budget still charges the q^(nP) tuples the
+    count covers, so the int64 dot product cannot overflow.
     """
     if P < 0:
         raise ValueError("P must be >= 0")
     _check_budget(f, P, budget)
     if P == 0:
         return 1
-    head, pairs = _split_box(f, P)
-    if f.n == 1:
-        return int(np.count_nonzero(pairs == 0))
-    hist = np.bincount(pairs, minlength=f.ctx.q ** (2 * P - 1))
-    return sum(int(hist[targets].sum()) for _, targets in _tuple_sums(head, f.ctx.p))
+    p, split = f.ctx.p, f.n - f.n // 2
+    digits = list(map(_box_values(f, P).get, f.coeffs))
+    head = [-d % p for d in digits[:split]]
+    if split == f.n:  # n = 1: the one empty tail tuple sums to 0, so no q^(2P-1) bins
+        return sum(int(np.count_nonzero(sums == 0)) for _, sums in _tuple_sums(head, p))
+    bins = f.ctx.q ** (2 * P - 1)
+    return int(_sum_histogram(head, p, bins) @ _sum_histogram(digits[split:], p, bins))
 
 
 def _divisor_masks(ctx: FieldCtx, P: int) -> np.ndarray:
@@ -215,16 +243,39 @@ def brute_morphism_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> i
 # transform convolution
 
 
+@functools.cache
+def _crt_search(p: int) -> tuple[list[int], Iterator[int]]:
+    """The primes l = 1 (mod p), largest first under p (l - 1)^2 < 2^63: those
+    found so far, and the search that finds the rest.  Kept per p, so a
+    process that calls ``convolution_count`` again runs no test twice."""
+    ks = range(math.isqrt((2**63 - 1) // p) // p, 0, -1)
+    return [], (k * p + 1 for k in ks if is_prime(k * p + 1))
+
+
 def _crt_primes(p: int, bound: int) -> list[int]:
     """Primes l = 1 (mod p), largest first under p (l - 1)^2 < 2^63, until
     their product exceeds bound."""
-    out = []
-    for k in range(math.isqrt((2**63 - 1) // p) // p, 0, -1):
-        if math.prod(out) > bound:
-            break
-        if is_prime(k * p + 1):
-            out.append(k * p + 1)
-    return out
+    found, search = _crt_search(p)
+    count, product = 0, 1
+    while product <= bound:
+        if count == len(found):
+            l = next(search, None)
+            if l is None:
+                break
+            found.append(l)
+        product *= found[count]
+        count += 1
+    return found[:count]
+
+
+@functools.cache
+def _root_powers(l: int, p: int) -> np.ndarray:
+    """w^0, ..., w^(p-1) mod l, read-only, for w of order p: the first
+    g^((l-1)/p) != 1.  Kept per (l, p) for the same reason."""
+    w = next(w for w in (pow(g, (l - 1) // p, l) for g in range(2, l)) if w != 1)
+    powers = np.array([pow(w, e, l) for e in range(p)])
+    powers.flags.writeable = False
+    return powers
 
 
 def _transform(h: np.ndarray, powers: np.ndarray, l: int) -> np.ndarray:
@@ -238,38 +289,72 @@ def _transform(h: np.ndarray, powers: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
+def _scaled_index(ctx: FieldCtx, u: int, K: int) -> np.ndarray:
+    """The encodings of M^T xi for xi < p^K, M the multiplication by u on each
+    nu-digit block, so that H_(u x^2)^ = H_(x^2)^[index].  Built digit by
+    digit, so only G-sized arrays are live."""
+    p, nu = ctx.p, ctx.nu
+    # (M^T xi)_i on a block is <coordinates of u alpha^i, xi's block>
+    rows = [ctx.coeffs(ctx.mul(u, p**i)) for i in range(nu)]
+    xi = np.arange(p**K)
+    index, digit, acc = np.zeros_like(xi), np.empty_like(xi), np.empty_like(xi)
+    for block in range(0, K, nu):
+        for i, row in enumerate(rows):
+            acc.fill(0)
+            for j, m in enumerate(row):
+                np.floor_divide(xi, p ** (block + j), out=digit)
+                digit %= p
+                digit *= m
+                acc += digit
+            acc %= p
+            acc *= p ** (block + i)
+            index += acc
+    return index
+
+
 def convolution_count(f: QuadForm, P: int) -> int:
     """N(P) by exact histogram convolution over the value group.
 
     The count is the mass at 0 of the convolution of the histograms of
     a_i x^2 over F_q[t]/t^(2P-1), read off the product of their
-    transforms.  Memory is ~q^(2P-1) counters, independent of n.
+    transforms: per CRT modulus, the transform of x^2's histogram to the
+    power of the square coefficients times its permutation for the
+    nonsquare class to the power of the rest.  Memory is ~q^(2P-1)
+    counters, independent of n.
     """
     if P < 0:
         raise ValueError("P must be >= 0")
     if P == 0:
         return 1
-    p, q = f.ctx.p, f.ctx.q
-    G = q ** (2 * P - 1)
+    ctx = f.ctx
+    p, q = ctx.p, ctx.q
+    K = (2 * P - 1) * ctx.nu
+    G = p**K
     if G > CONVOLUTION_STATE_CAP:
         raise BudgetExceeded(f"value group has {G} elements, above the cap {CONVOLUTION_STATE_CAP}")
     bound = q ** (f.n * P)
     moduli = _crt_primes(p, bound)
     if math.prod(moduli) <= bound or any(p * (l - 1) ** 2 >= 2**63 for l in moduli):
         raise BudgetExceeded(f"no primes l = 1 (mod {p}) with p (l - 1)^2 < 2^63 cover counts up to {bound}")
-    hists = {a: np.bincount(_undigits(d, p), minlength=G) for a, d in _box_values(f, P).items()}
+    n_square = sum(map(ctx.is_square_unit, f.coeffs))
+    if n_square < f.n:
+        nonsquare = next(a for a in ctx.units() if not ctx.is_square_unit(a))
+        index = _scaled_index(ctx, nonsquare, K)
+    hist = np.bincount(_undigits(_box_squares(ctx, P), q), minlength=G)
     count, modulus = 0, 1
     for l in moduli:
-        # powers of w of order p: the first g^((l-1)/p) != 1
-        w = next(w for w in (pow(g, (l - 1) // p, l) for g in range(2, l)) if w != 1)
-        powers = np.array([pow(w, e, l) for e in range(p)])
+        powers = _root_powers(l, p)
+        h = hist % l
+        for j in range(K):
+            h = _transform(h.reshape(p**j, p, -1), powers, l)
+        h = h.ravel()
         product = np.ones(G, dtype=np.int64)
-        for a, k in Counter(f.coeffs).items():
-            h = hists[a] % l
-            for j in range((2 * P - 1) * f.ctx.nu):
-                h = _transform(h.reshape(p**j, p, -1), powers, l)
-            for _ in range(k):
-                product = product * h.ravel() % l
+        # the first n_square factors are H_1^, the rest H_u^
+        for k in range(f.n):
+            if k == n_square:
+                h = h[index]
+            np.multiply(product, h, out=product)
+            product %= l
         residue = int(product.sum()) * pow(G, -1, l) % l
         count += modulus * ((residue - count) * pow(modulus, -1, l) % l)
         modulus *= l

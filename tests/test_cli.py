@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadricpoints import FieldCtx, QuadForm, count_exact
 from quadricpoints.cli import main
 
 
@@ -114,6 +115,18 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_one_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; a refused --budget and a CSV run
+    # must not leak into the next call's defaults
+    argv = ("count", "--p", "3", "--coeffs", "1,1,1,1,1,1", "--P", "2", "--method", "brute")
+    assert run(capsys, *argv, "--budget", "5")[0] == 3
+    code, out, _ = run(capsys, *argv, "--emit", "csv")
+    assert code == 0 and out.startswith("q,n,case,P,method,value")
+    code, out, _ = run(capsys, *argv)  # 3^12 evaluations, within the default budget
+    assert code == 0
+    assert json.loads(out)["data"][0]["value"] == count_exact(QuadForm(FieldCtx(3), (1,) * 6), 2)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -133,8 +146,6 @@ def test_verify_refuses_an_empty_or_negative_grid(capsys, argv):
 
 
 def test_emitter_writes_counts_of_any_length(capsys):
-    from quadricpoints import FieldCtx, QuadForm, count_exact
-
     limit = sys.get_int_max_str_digits()
     argv = ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "10000", "--method", "exact")
     code, json_out, _ = run(capsys, *argv)

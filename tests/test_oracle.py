@@ -1,9 +1,12 @@
 """Independent enumeration oracles and their agreement with the formulas."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadricpoints import (
     DEFAULT_BUDGET,
@@ -14,12 +17,14 @@ from quadricpoints import (
     brute_morphism_count,
     brute_primitive_count,
     convolution_count,
+    count_circle,
     count_exact,
     count_primitive,
     irreducibles,
     morphism_count,
     poly_from_encoding,
 )
+from quadricpoints import oracle
 from quadricpoints.field import is_prime
 from quadricpoints.oracle import CONVOLUTION_STATE_CAP, _crt_primes, _divisor_masks
 
@@ -107,21 +112,120 @@ def test_morphism_is_primitive_difference(F3):
         assert brute_morphism_count(f, P) == diff
 
 
-@pytest.mark.parametrize("q", [7, 11, 25, 27])
-def test_oracles_agree_with_formulas_over_wider_fields(q):
-    p = min(d for d in range(2, q + 1) if q % d == 0)
-    ctx = FieldCtx(p, round(math.log(q, p)))
+#: odd q <= 49 as (p, nu), prime and extension fields (nu = 2, 3)
+_SWEEP_FIELDS = [(p, nu) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47) for nu in (1, 2, 3) if p**nu <= 49]
+
+#: the sweep's cap on brute's larger half, q^(ceil(n/2) P), on count_circle's
+#: q^P moduli (about 0.5 ms each), and on the primitive oracle's q^(2(P+1)) pairs
+_SWEEP_TUPLES, _SWEEP_MODULI, _SWEEP_PAIRS = 2 * 10**5, 10**3, 2 * 10**5
+
+
+@functools.cache
+def _field(p, nu):
+    return FieldCtx(p, nu)
+
+
+def _sweep_boxes(q, n):
+    """The P the sweep may draw: within the budget, the convolution cap and
+    the cap on brute's larger half."""
+    return [
+        P
+        for P in range(1, 20)
+        if q ** (n * P) <= DEFAULT_BUDGET
+        and q ** (2 * P - 1) <= CONVOLUTION_STATE_CAP
+        and q ** ((n - n // 2) * P) <= _SWEEP_TUPLES
+    ]
+
+
+@st.composite
+def _sweep_cases(draw):
+    p, nu = draw(st.sampled_from(_SWEEP_FIELDS))
+    n = draw(st.sampled_from([n for n in range(1, 9) if _sweep_boxes(p**nu, n)]))
+    P = draw(st.sampled_from(_sweep_boxes(p**nu, n)))
+    coeffs = draw(st.lists(st.integers(1, p**nu - 1), min_size=n, max_size=n))
+    return (p, nu), tuple(coeffs), P
+
+
+def _wider_field_grid(p, nu):
+    """The hand-picked grid over F_q, q = p^nu: n <= 6, all-ones and one
+    nonsquare, P <= 3 within the budget and the cap."""
+    ctx, q = _field(p, nu), p**nu
     nonsquare = min(a for a in ctx.units() if not ctx.is_square_unit(a))
     for n in range(1, 7):
         for coeffs in [(1,) * n, (1,) * (n - 1) + (nonsquare,)]:
-            f = QuadForm(ctx, coeffs)
             for P in (1, 2, 3):
-                if q ** (n * P) > DEFAULT_BUDGET or q ** (2 * P - 1) > CONVOLUTION_STATE_CAP:
-                    continue
-                assert brute_count(f, P) == convolution_count(f, P) == count_exact(f, P), (coeffs, P)
-                if q ** (n * (P + 1)) <= DEFAULT_BUDGET:
-                    assert brute_primitive_count(f, P) == count_primitive(f, P), (coeffs, P)
-                    assert brute_morphism_count(f, P) == morphism_count(f, P), (coeffs, P)
+                if q ** (n * P) <= DEFAULT_BUDGET and q ** (2 * P - 1) <= CONVOLUTION_STATE_CAP:
+                    yield (p, nu), coeffs, P
+
+
+def _check_oracles_agree(case, sweep=False):
+    """brute == conv == exact, and the closed primitive and morphism counts
+    against their oracles where q^(n(P+1)) is within the budget.  The
+    sweep also checks circle where q^P <= _SWEEP_MODULI, and the primitive
+    side only where its q^(2(P+1)) pairs are at most _SWEEP_PAIRS."""
+    (p, nu), coeffs, P = case
+    f, q, n = QuadForm(_field(p, nu), coeffs), p**nu, len(coeffs)
+    want = count_exact(f, P)
+    assert brute_count(f, P) == convolution_count(f, P) == want, case
+    if sweep and q**P <= _SWEEP_MODULI:
+        assert count_circle(f, P) == want, case
+    if q ** (n * (P + 1)) <= DEFAULT_BUDGET and not (sweep and q ** (2 * (P + 1)) > _SWEEP_PAIRS):
+        assert brute_primitive_count(f, P) == count_primitive(f, P), case
+        assert brute_morphism_count(f, P) == morphism_count(f, P), case
+
+
+@pytest.mark.parametrize("q", [7, 11, 25, 27])
+def test_oracles_agree_with_formulas_over_wider_fields(q):
+    p, nu = {7: (7, 1), 11: (11, 1), 25: (5, 2), 27: (3, 3)}[q]
+    for case in _wider_field_grid(p, nu):
+        _check_oracles_agree(case)
+
+
+@given(_sweep_cases())
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+def test_oracles_agree_with_formulas_over_swept_fields(case):
+    _check_oracles_agree(case, sweep=True)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_brute_meets_in_the_middle_at_n_8(n):
+    ctx = FieldCtx(3)
+    for coeffs in [(1,) * n, (1,) * (n - 1) + (2,)]:
+        f = QuadForm(ctx, coeffs)
+        assert brute_count(f, 3, budget=3 ** (n * 3)) == count_exact(f, 3), coeffs
+
+
+def test_brute_touches_both_halves_once(monkeypatch):
+    touched = []
+    real = oracle._tuple_sums
+
+    def counted(tables, p):
+        for rows, sums in real(tables, p):
+            touched.append(sums.size)
+            yield rows, sums
+
+    monkeypatch.setattr(oracle, "_tuple_sums", counted)
+    q, P = 3, 2
+    for n in range(1, 9):
+        touched.clear()
+        f = QuadForm(FieldCtx(q), (1,) * (n - 1) + (2,))
+        assert brute_count(f, P) == count_exact(f, P)
+        # at n = 1 the tail is the one empty tuple, and no chunk forms it
+        tail = q ** (n // 2 * P) if n > 1 else 0
+        assert sum(touched) == q ** ((n - n // 2) * P) + tail, n
+
+
+@pytest.mark.parametrize("p, nu", [(7, 1), (3, 2), (5, 2), (3, 3)])
+def test_convolution_with_distinct_coefficients_in_one_class(p, nu):
+    # every square coefficient shares x^2's transform, every nonsquare its
+    # permutation; for nu > 1 that permutation is F_p-linear on digit blocks
+    ctx = _field(p, nu)
+    squares = [a for a in ctx.units() if ctx.is_square_unit(a)][-3:]
+    nonsquares = [a for a in ctx.units() if not ctx.is_square_unit(a)][-3:]
+    for coeffs in [squares, nonsquares, squares[:2] + nonsquares[:2], nonsquares[:1] + squares]:
+        f = QuadForm(ctx, coeffs)
+        for P in (1, 2):
+            assert convolution_count(f, P) == count_exact(f, P), (coeffs, P)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
@@ -134,9 +238,20 @@ def test_crt_primes_cover_the_bound_without_overflow(p):
             assert p * (l - 1) ** 2 < 2**63
 
 
+def test_crt_primes_are_the_shortest_cover_in_any_call_order():
+    # the search is kept per p, so a smaller bound after a larger one must
+    # still get the shortest covering prefix
+    longest = _crt_primes(13, 2**200)
+    for bound in (2**62, 1, 2**200):
+        moduli = _crt_primes(13, bound)
+        assert moduli == longest[: len(moduli)]
+        assert math.prod(moduli) > bound >= math.prod(moduli[:-1])
+
+
 def test_convolution_at_a_large_prime():
-    # one base-p axis of length 10007: the transform runs in row blocks
-    f = QuadForm(FieldCtx(10007), (1, 1, 1))
+    # one base-p axis of length 10007: the transform runs in row blocks;
+    # 1, 2, 3 are squares mod 10007 and 5 is not
+    f = QuadForm(FieldCtx(10007), (1, 2, 3, 5))
     assert convolution_count(f, 1) == count_exact(f, 1)
 
 
