@@ -32,8 +32,8 @@ for pi, k in fac.factors:
     expanded = expanded * pi**k
 print("re-expanded:", expanded)
 
-# factorization is deterministic: the randomized splitting is seeded
-# from the input, so repeated calls give the same ordered answer
+# factorization is deterministic: the splitting search runs in encoding
+# order, so repeated calls give the same ordered answer
 assert factorize(f).factors == fac.factors
 
 # the monic irreducibles of low degree

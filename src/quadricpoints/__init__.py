@@ -14,7 +14,7 @@ Layers, bottom to top:
 * :mod:`quadricpoints.forms`      - diagonal forms, case tags, derived counts
 * :mod:`quadricpoints.cyclotomic` - exact integer arithmetic in Z[zeta_p]
 * :mod:`quadricpoints.characters` - additive characters and ball integrals
-* :mod:`quadricpoints.expsums`    - Gauss sums, complete sums, arc integrals
+* :mod:`quadricpoints.expsums`    - Gauss sums, complete sums, phi sums, arc integrals
 * :mod:`quadricpoints.formulas`   - closed-form counts
 * :mod:`quadricpoints.oracle`     - brute-force and convolution enumerators,
   which import only ``field`` and ``forms``
@@ -32,20 +32,15 @@ from .expsums import (
     gauss_sum_prime_power,
     local_factor_closed,
     local_factor_direct,
+    phi_degree_sum,
+    phi_power_sum,
     twisted_gauss_sum,
     twisted_gauss_sum_prime_power,
     weyl_sum,
 )
 from .field import FieldCtx
 from .forms import CaseTag, QuadForm, classify, diagonalize
-from .formulas import (
-    count_circle,
-    count_exact,
-    count_primitive,
-    morphism_count,
-    phi_degree_sum,
-    phi_power_sum,
-)
+from .formulas import count_circle, count_exact, count_primitive, morphism_count
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,

@@ -95,7 +95,7 @@ def _build_ctx(args) -> FieldCtx:
     if args.modulus:
         modulus = [int(c) for c in args.modulus.split(",")]
     try:
-        return FieldCtx(args.p, args.nu, modulus)
+        return FieldCtx(args.p, 1 if args.nu is None else args.nu, modulus)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -285,7 +285,7 @@ def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, help="odd prime characteristic")
     common.add_argument("--q", type=int, help="field size p^nu (alternative to --p/--nu)")
-    common.add_argument("--nu", type=int, default=1, help="extension degree (default 1)")
+    common.add_argument("--nu", type=int, help="extension degree (default 1)")
     common.add_argument("--modulus", help="comma list of F_p coefficients, low to high")
     common.add_argument(
         "--budget", type=int, default=oracle.DEFAULT_BUDGET, help="enumeration budget (evaluations)"
@@ -328,7 +328,7 @@ def _make_parser() -> argparse.ArgumentParser:
 def _apply_q_flag(args) -> None:
     if args.q is None:
         return
-    if args.p is not None:
+    if args.p is not None or args.nu is not None:
         raise UsageError("give either --q or --p/--nu, not both")
     q = args.q
     if q < 3:

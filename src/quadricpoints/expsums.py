@@ -8,7 +8,7 @@ the closed forms only.
 
 The hierarchy, for a diagonal form f = a_1 X_1^2 + ... + a_n X_n^2 (a
 :class:`~quadricpoints.forms.QuadForm`, whose case tag ``classify``
-gives the sign of the closed local factors):
+gives the sign eps of the closed local factors):
 
 * ``twisted_gauss_sum(a, r)``      sum psi(a x^2 / r) over residues x
 * ``gauss_sum(r)``                 tau_r, the twisted sum at a = 1
@@ -20,6 +20,9 @@ gives the sign of the closed local factors):
 The direct evaluators read every term's character from one tail: alpha =
 a/r + theta is one :class:`~quadricpoints.characters.LaurentTail`, taken
 once per sum, and psi(alpha v) is a dot product of it against v.
+
+On the closed side the totient sums over monic strata are geometric
+series in q, and ``arc_integral_closed`` is one ``phi_power_sum``.
 """
 
 from __future__ import annotations
@@ -39,11 +42,6 @@ from .polyring import (
     poly_gcd,
     _legendre,
 )
-
-
-def qpow(q: int, e: int) -> Fraction:
-    """q**e as an exact Fraction for any integer exponent."""
-    return Fraction(q**e) if e >= 0 else Fraction(1, q ** (-e))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +129,7 @@ def local_factor_closed(f: QuadForm, r: Poly) -> int:
     """Closed form of S_r(f) for monic r; multiplicative over coprime factors.
 
     Even n:  (d / r) * phi(r) * |r|^(n/2) with d the signed determinant, a
-             constant, so (d / r) = chi(d)^deg(r): 1 in the split case and
-             (-1)^deg(r) in the nonsplit case.
+             constant, so (d / r) = eps^deg(r), eps the tag's ``epsilon``.
     Odd n:   phi(r) * |r|^(n/2) when r is a square, else 0.
     """
     _require_monic(r)
@@ -144,9 +141,39 @@ def local_factor_closed(f: QuadForm, r: Poly) -> int:
     tag = classify(f)
     if tag is CaseTag.ODD:
         return size if fac.is_square() else 0
-    if tag is CaseTag.NONSPLIT_EVEN:
-        return (-1) ** rho * size
-    return size
+    return tag.epsilon**rho * size
+
+
+# ---------------------------------------------------------------------------
+# totient sums over monic strata
+
+
+def phi_degree_sum(q: int, rho: int) -> int:
+    """sum of phi(r) over monic r of degree rho: (q-1) q^(2 rho - 1) for rho >= 1.
+
+    The degenerate stratum rho = 0 consists of the unit r = 1 alone and
+    contributes 1; it sits outside the rho >= 1 product formula.
+    """
+    if rho < 0:
+        raise ValueError("rho must be >= 0")
+    if rho == 0:
+        return 1
+    return (q - 1) * q ** (2 * rho - 1)
+
+
+def phi_power_sum(q: int, M: int, c: int, signed: bool = False) -> Fraction:
+    """sum over monic r with deg r <= M of (-1)^(deg r)^[signed] phi(r) / |r|^c.
+
+    Stratum rho >= 1 adds (q-1)/q * x^rho with x = eps q^(2-c), eps = -1
+    when signed, so the sum is geometric.  Its one pole x = 1 is the
+    unsigned c = 2, where every stratum adds (q-1)/q.
+    """
+    if M < 0:
+        raise ValueError("M must be >= 0")
+    x = (-1 if signed else 1) * Fraction(q) ** (2 - c)
+    if x == 1:
+        return 1 + Fraction(q - 1, q) * M
+    return 1 + Fraction(q - 1, q) * x * (1 - x**M) / (1 - x)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +245,10 @@ def arc_integral_closed(f: QuadForm, r: Poly, P: int) -> Fraction:
     """Closed form of the arc integral as an exact rational.
 
     For deg r = P the ball is too small for S to oscillate and the value
-    is q^(P(n-2)); otherwise it is a short geometric layer sum weighted
-    by closed local factors at powers of t.
+    is q^(P(n-2)).  Below that it is q^(P(n-2)+1) T(P - deg r - 1), with
+    T(M) the sum of S_(t^m) q^(-nm) over m <= M.  S_(t^m) is
+    eps^m phi(t^m) q^(mn/2) for even n, and for odd n that with eps = 1
+    at even m and 0 at odd m, so T is a phi power sum.
     """
     _require_monic(r)
     rho = len(r.coeffs) - 1
@@ -227,13 +256,14 @@ def arc_integral_closed(f: QuadForm, r: Poly, P: int) -> Fraction:
         raise ValueError("the box exponent P must be >= 0")
     if rho > P:
         raise ValueError("arc integrals are only defined for deg r <= P")
-    ctx = f.ctx
-    q = ctx.q
+    q = f.ctx.q
     n = f.n
     if rho == P:
-        return qpow(q, P * (n - 2))
-    acc = Fraction(0)
-    for k in range(P - rho):
-        s = local_factor_closed(f, Poly.t_power(ctx, P - rho - k - 1))
-        acc += Fraction(q ** (n * k) * s)
-    return qpow(q, n * rho + n + 1 - 2 * P) * acc
+        return Fraction(q) ** (P * (n - 2))
+    M = P - rho - 1
+    tag = classify(f)
+    if tag is CaseTag.ODD:
+        T = phi_power_sum(q, M // 2, n)
+    else:
+        T = phi_power_sum(q, M, n // 2 + 1, signed=tag.epsilon < 0)
+    return Fraction(q) ** (P * (n - 2) + 1) * T

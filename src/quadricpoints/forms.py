@@ -29,6 +29,14 @@ class CaseTag(Enum):
     NONSPLIT_EVEN = "nonsplit_even"
     ODD = "odd"
 
+    @property
+    def epsilon(self) -> int:
+        """The even-rank tag as a number: the character chi(d) = +-1 of the
+        signed determinant, 1 split and -1 nonsplit.  Odd rank has none."""
+        if self is CaseTag.ODD:
+            raise ValueError("odd rank has no determinant sign")
+        return 1 if self is CaseTag.SPLIT_EVEN else -1
+
 
 @dataclass(frozen=True)
 class QuadForm:

@@ -2,10 +2,12 @@
 
 For f = a_1 X_1^2 + ... + a_n X_n^2 with unit coefficients, N(P) counts
 solutions of f = 0 with all coordinates of height |x_i| < q^P.  The
-closed forms split into three cases (see
-:class:`~quadricpoints.forms.CaseTag`): even n with square signed
-determinant, even n with nonsquare signed determinant, and odd n; they
-cover every n >= 1.  From N one derives the primitive count (through
+closed forms depend on the parity of n and, for even n, on the square
+class of the signed determinant d, read as the number eps = chi(d) = +-1
+(:attr:`~quadricpoints.forms.CaseTag.epsilon`).  Each count has one
+expression for odd n and one in eps for even n; only n <= 2 and the
+poles of those expressions (odd n = 3 for N, split n = 4 for both) keep
+branches of their own.  From N one derives the primitive count (through
 :func:`~quadricpoints.forms.primitive_from_counts`) and the number of
 degree-P morphisms from the projective line into the quadric.
 
@@ -19,47 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expsums import arc_integral_closed, local_factor_closed, qpow
+from .expsums import arc_integral_closed, local_factor_closed
 from .forms import CaseTag, QuadForm, classify, primitive_from_counts
 from .polyring import Poly, enumerate_monic
-
-
-# ---------------------------------------------------------------------------
-# totient sums over monic strata
-
-
-def phi_degree_sum(q: int, rho: int) -> int:
-    """sum of phi(r) over monic r of degree rho: (q-1) q^(2 rho - 1) for rho >= 1.
-
-    The degenerate stratum rho = 0 consists of the unit r = 1 alone and
-    contributes 1; it sits outside the rho >= 1 product formula.
-    """
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    if rho == 0:
-        return 1
-    return (q - 1) * q ** (2 * rho - 1)
-
-
-def phi_power_sum(q: int, M: int, c: int, signed: bool = False) -> Fraction:
-    """sum over monic r with deg r <= M of (-1)^(deg r)^[signed] phi(r) / |r|^c.
-
-    Closed geometric forms; c = 2 is the boundary case where the ratio
-    of consecutive strata is 1 (unsigned) or -1 (signed).
-    """
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    if not signed:
-        if c == 2:
-            return 1 + Fraction(q - 1, q) * M
-        head = (1 - qpow(q, 1 - c)) / (1 - qpow(q, 2 - c))
-        tail = (q - 1) * qpow(q, 1 - c) / (1 - qpow(q, 2 - c))
-        return head - tail * qpow(q, M * (2 - c))
-    if c == 2:
-        return Fraction(1) if M % 2 == 0 else Fraction(1, q)
-    head = (1 + qpow(q, 1 - c)) / (1 + qpow(q, 2 - c))
-    tail = (q - 1) * qpow(q, 1 - c) / (1 + qpow(q, 2 - c))
-    return head + (-1) ** M * tail * qpow(q, M * (2 - c))
 
 
 # ---------------------------------------------------------------------------
@@ -84,43 +48,26 @@ def count_exact(f: QuadForm, P: int) -> int:
         # two lines through 0
         return 2 * q**P - 1 if tag is CaseTag.SPLIT_EVEN else 1
     even_P = P % 2 == 0
+    if tag is CaseTag.ODD and n == 3:
+        # the pole q^(n-2) = q of the odd expression below
+        val = Fraction(q * q - 1, 2 * q) * P * q**P
+        val += q**P if even_P else Fraction(q * q + 1, 2 * q) * q**P
+        return _as_int(val, "N(P), odd n = 3")
     if tag is CaseTag.ODD:
-        if n == 3:
-            val = Fraction(q * q - 1, 2 * q) * P * q**P
-            val += q**P if even_P else Fraction(q * q + 1, 2 * q) * q**P
-        else:
-            val = Fraction(q ** (n - 1) - 1, q ** (n - 2) - q) * q ** (P * (n - 2))
-            if even_P:
-                val -= (q - 1) * Fraction(q ** (n - 2) + 1, q ** (n - 2) - q) * q ** (
-                    (n - 1) * P // 2
-                )
-            else:
-                val -= Fraction((q * q - 1) * q ** ((n - 3) // 2), q ** (n - 2) - q) * q ** (
-                    (n - 1) * P // 2
-                )
+        den = q ** (n - 2) - q
+        second = (q - 1) * (q ** (n - 2) + 1) if even_P else (q * q - 1) * q ** ((n - 3) // 2)
+        val = Fraction(q ** (n - 1) - 1, den) * q ** (P * (n - 2))
+        val -= Fraction(second, den) * q ** ((n - 1) * P // 2)
         return _as_int(val, "N(P), odd case")
-    half = n // 2
-    if tag is CaseTag.SPLIT_EVEN:
-        if n == 4:
-            val = Fraction(q * q - 1, q) * P * q ** (2 * P) + q ** (2 * P)
-        else:
-            val = Fraction(q**half - 1, q ** (half - 1) - q) * q ** (P * (n - 2))
-            val -= (q - 1) * Fraction(q ** (half - 1) + 1, q ** (half - 1) - q) * q ** (
-                n * P // 2
-            )
-        return _as_int(val, "N(P), split case")
-    if n == 4:
-        if even_P:
-            val = Fraction(q ** (2 * P))
-        else:
-            val = Fraction(q * q - q + 1, q) * q ** (2 * P)
-    else:
-        val = Fraction(q**half + 1, q ** (half - 1) + q) * q ** (P * (n - 2))
-        sign = 1 if even_P else -1
-        val -= sign * (q - 1) * Fraction(q ** (half - 1) - 1, q ** (half - 1) + q) * q ** (
-            n * P // 2
-        )
-    return _as_int(val, "N(P), nonsplit case")
+    if tag is CaseTag.SPLIT_EVEN and n == 4:
+        # the pole q^(half - 1) = eps q of the even expression below
+        val = Fraction(q * q - 1, q) * P * q ** (2 * P) + q ** (2 * P)
+        return _as_int(val, "N(P), split n = 4")
+    eps, half = tag.epsilon, n // 2
+    den = q ** (half - 1) - eps * q
+    val = Fraction(q**half - eps, den) * q ** (P * (n - 2))
+    val -= eps**P * (q - 1) * Fraction(q ** (half - 1) + eps, den) * q ** (n * P // 2)
+    return _as_int(val, "N(P), even case")
 
 
 def count_circle(f: QuadForm, P: int) -> int:
@@ -160,42 +107,24 @@ def morphism_count(f: QuadForm, P: int) -> int:
     if n <= 2:
         return 0  # the quadric is at most two points, where no map of degree >= 1 lands
     tag = classify(f)
-    even_P = P % 2 == 0
     if tag is CaseTag.ODD:
-        if n == 3:
-            val = Fraction(q * q - 1, q) * q**P if even_P else Fraction(0)
-        else:
-            val = Fraction(
-                (q ** (n - 1) - 1) * (q ** (n - 2) - 1), q ** (n - 2) * (q - 1)
-            ) * q ** (P * (n - 2))
-            if not even_P:
-                val -= Fraction(q ** (n - 1) - 1, q ** ((n - 1) // 2)) * q ** (
-                    (n - 1) * P // 2
-                )
-        return _as_int(val, "morphism count, odd case")
-    half = n // 2
-    if tag is CaseTag.SPLIT_EVEN:
-        if n == 4:
-            val = Fraction((q * q - 1) ** 2, q * q) * P * q ** (2 * P)
-            val += Fraction((q * q - 1) * (q + 1) ** 2, q * q) * q ** (2 * P)
-        else:
-            val = Fraction(
-                (q**half - 1) * (q ** (n - 2) - 1) * (q ** (n - 3) - 1),
-                q ** (n - 2) * (q ** (half - 2) - 1) * (q - 1),
-            ) * q ** (P * (n - 2))
-            val -= Fraction(
-                (q ** (n - 2) - 1) * (q**half - 1), q**half * (q ** (half - 2) - 1)
-            ) * q ** (n * P // 2)
-        return _as_int(val, "morphism count, split case")
-    if n == 4:
-        val = Fraction(q**4 - 1, q * q) * q ** (2 * P) if even_P else Fraction(0)
-    else:
         val = Fraction(
-            (q**half + 1) * (q ** (n - 2) - 1) * (q ** (n - 3) - 1),
-            q ** (n - 2) * (q ** (half - 2) + 1) * (q - 1),
+            (q ** (n - 1) - 1) * (q ** (n - 2) - 1), q ** (n - 2) * (q - 1)
         ) * q ** (P * (n - 2))
-        sign = 1 if even_P else -1
-        val += sign * Fraction(
-            (q ** (n - 2) - 1) * (q**half + 1), q**half * (q ** (half - 2) + 1)
-        ) * q ** (n * P // 2)
-    return _as_int(val, "morphism count, nonsplit case")
+        if P % 2:
+            val -= Fraction(q ** (n - 1) - 1, q ** ((n - 1) // 2)) * q ** ((n - 1) * P // 2)
+        return _as_int(val, "morphism count, odd case")
+    if tag is CaseTag.SPLIT_EVEN and n == 4:
+        # the pole q^(half - 2) = eps of the even expression below
+        val = Fraction((q * q - 1) ** 2, q * q) * P * q ** (2 * P)
+        val += Fraction((q * q - 1) * (q + 1) ** 2, q * q) * q ** (2 * P)
+        return _as_int(val, "morphism count, split n = 4")
+    eps, half = tag.epsilon, n // 2
+    val = Fraction(
+        (q**half - eps) * (q ** (n - 2) - 1) * (q ** (n - 3) - 1),
+        q ** (n - 2) * (q ** (half - 2) - eps) * (q - 1),
+    ) * q ** (P * (n - 2))
+    val -= eps ** (P + 1) * Fraction(
+        (q ** (n - 2) - 1) * (q**half - eps), q**half * (q ** (half - 2) - eps)
+    ) * q ** (n * P // 2)
+    return _as_int(val, "morphism count, even case")

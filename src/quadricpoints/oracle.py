@@ -25,8 +25,9 @@ encoded below G = q^(2P-1).
   sum of p products overflows.
 * Primitivity: the sums of the first n - 2 coordinates are looked up in
   the histogram of the q^(2P) sums of the last pair, which lists every
-  solution.  Each box element has a bitmask of its monic irreducible
-  divisors of degree <= P - 1 (zero has every bit); a tuple has gcd 1
+  solution; at n = 2 the first coordinate is looked up against the q^P
+  values of the second.  Each box element has a bitmask of its monic
+  irreducible divisors of degree <= P - 1 (zero has every bit); a tuple has gcd 1
   iff its masks AND to 0.  A sieve builds them: in ascending degree, a
   monic element no smaller irreducible divides is irreducible and marks
   its multiples pi * g.
@@ -148,12 +149,14 @@ def _sum_histogram(tables: list, p: int, bins: int) -> np.ndarray:
 
 
 def _split_box(f: QuadForm, P: int):
-    """The negated digit tables of the first n - 2 variables, and the
-    sums of every tuple of the last (at most two) at i_(n-1) + q^P i_n."""
+    """The negated digit tables of the head variables, and the sums of
+    every tuple of the tail at i_(n-1) + q^P i_n: the tail is the last
+    pair for n >= 3 and the last variable, at i_n, for n = 2."""
     p = f.ctx.p
     digits = list(map(_box_values(f, P).get, f.coeffs))
-    pairs = np.concatenate([enc for _, enc in _tuple_sums(digits[-2:], p)])
-    return [-d % p for d in digits[:-2]], pairs
+    split = max(f.n - 2, 1)
+    pairs = np.concatenate([enc for _, enc in _tuple_sums(digits[split:], p)])
+    return [-d % p for d in digits[:split]], pairs
 
 
 def brute_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -219,6 +222,7 @@ def brute_primitive_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> 
         which = np.repeat(np.arange(targets.size), cnt)
         offset = np.arange(which.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         pair = order[starts[targets][which] + offset]
+        # a one-variable tail has pair // q^P = 0, whose mask has every bit
         common = masks[pair % len(masks)] & masks[pair // len(masks)]
         for r in rows:
             common &= masks[r[which]]

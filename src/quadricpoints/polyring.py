@@ -12,7 +12,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .field import FieldCtx
@@ -276,34 +275,35 @@ def _pth_root(f: Poly) -> Poly:
     return Poly(ctx, out)
 
 
-def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> Poly:
-    """One irreducible factor of f, where f is squarefree with all factors of degree d."""
+def _equal_degree_split(f: Poly, d: int) -> Poly:
+    """One irreducible factor of f, where f is squarefree with all factors of degree d.
+
+    Tries gcd(a, f), then gcd(a^((q^d - 1)/2) - 1, f), for a of degree 1
+    to deg f - 1 in encoding order; some a is divisible by one factor of
+    f and not by another, so the search ends whenever f is reducible.
+    """
     if f.deg == d:
         return f
     ctx = f.ctx
     exponent = (ctx.q**d - 1) // 2
-    while True:
-        a = Poly(ctx, [rng.randrange(ctx.q) for _ in range(f.deg)])
+    for a in enumerate_below(ctx, f.deg):
         if a.deg < 1:
             continue
         g = poly_gcd(a, f)
+        if g.is_one():
+            g = poly_gcd(_powmod(a, exponent, f) - Poly.one(ctx), f)  # gcd(0, f) = f
         if 0 < g.deg < f.deg:
-            return _equal_degree_split(g, d, rng)
-        b = _powmod(a, exponent, f) - Poly.one(ctx)
-        if b.is_zero():
-            continue
-        g = poly_gcd(b, f)
-        if 0 < g.deg < f.deg:
-            return _equal_degree_split(g, d, rng)
+            return _equal_degree_split(g, d)
+    raise RuntimeError("no polynomial below the degree split an equal-degree product")
 
 
-def _one_irreducible_factor(f: Poly, rng: random.Random) -> Poly:
+def _one_irreducible_factor(f: Poly) -> Poly:
     """Some monic irreducible factor of monic f, deg f >= 1."""
     ctx = f.ctx
     deriv = f.derivative()
     if deriv.is_zero():
         # f = g(t)^p for the p-th root g; recurse on it
-        return _one_irreducible_factor(_pth_root(f), rng)
+        return _one_irreducible_factor(_pth_root(f))
     w = f // poly_gcd(f, deriv)  # squarefree; nonconstant since deriv != 0
     if w.deg < 1:
         raise RuntimeError("squarefree part of a nonconstant polynomial is constant")
@@ -316,7 +316,7 @@ def _one_irreducible_factor(f: Poly, rng: random.Random) -> Poly:
         h = _powmod(h, ctx.q, w)
         g_d = poly_gcd(h - t, w)
         if g_d.deg >= 1:
-            return _equal_degree_split(g_d, d, rng)
+            return _equal_degree_split(g_d, d)
         if 2 * (d + 1) > w.deg:
             # no factor of degree <= d, so w itself is irreducible
             return w
@@ -325,31 +325,28 @@ def _one_irreducible_factor(f: Poly, rng: random.Random) -> Poly:
 def is_irreducible(f: Poly) -> bool:
     """Whether f is irreducible: its first irreducible factor is f itself.
 
-    Constants and the zero polynomial fail.  The generator is drawn from
-    only to split a reducible f, and then every seed yields a proper
-    factor, so the answer does not depend on it.
+    Constants and the zero polynomial fail.
     """
     if f.deg < 1:
         return False
     f = f.monic()
-    return _one_irreducible_factor(f, random.Random(0)) == f
+    return _one_irreducible_factor(f) == f
 
 
 def factorize(f: Poly) -> Factorization:
     """Canonical factorization of a nonzero polynomial.
 
-    Internally randomized (equal-degree splitting) with a seed derived
-    from the input, so the result and the work done are reproducible.
-    The factor list is sorted by (degree, coefficient encoding).
+    Deterministic: the equal-degree splitting searches its splitting
+    polynomials in encoding order.  The factor list is sorted by
+    (degree, coefficient encoding).
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     unit = f.lead
     rest = f.monic()
-    rng = random.Random(0xA1F ^ f.encoding())
     counts: dict[Poly, int] = {}
     while not rest.is_constant():
-        pi = _one_irreducible_factor(rest, rng)
+        pi = _one_irreducible_factor(rest)
         k = 0
         while True:
             quot, rem = divmod(rest, pi)

@@ -22,20 +22,15 @@ from .expsums import (
     gauss_sum_prime_power,
     local_factor_closed,
     local_factor_direct,
+    phi_degree_sum,
+    phi_power_sum,
     twisted_gauss_sum,
     twisted_gauss_sum_prime_power,
     weyl_sum,
 )
 from .field import FieldCtx
 from .forms import QuadForm
-from .formulas import (
-    count_circle,
-    count_exact,
-    count_primitive,
-    morphism_count,
-    phi_degree_sum,
-    phi_power_sum,
-)
+from .formulas import count_circle, count_exact, count_primitive, morphism_count
 from .oracle import DEFAULT_BUDGET, brute_count, brute_morphism_count, convolution_count
 from .polyring import (
     Poly,

@@ -56,6 +56,7 @@ def test_usage_errors(capsys):
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--P-range", "1..2"),
         ("count", "--p", "3", "--coeffs", "1,1,1", "--gram", "1,0;0,1", "--P", "1"),
         ("count", "--p", "3", "--q", "9", "--coeffs", "1,1,1", "--P", "1"),
+        ("count", "--q", "9", "--nu", "3", "--coeffs", "1,1,1", "--P", "1"),
         ("count", "--q", "12", "--coeffs", "1,1,1", "--P", "1"),
         ("count", "--q", "0", "--coeffs", "1,1,1", "--P", "1"),
         ("count", "--q", "1", "--coeffs", "1,1,1", "--P", "1"),

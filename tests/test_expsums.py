@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from quadricpoints import (
+    CaseTag,
     CycInt,
+    FieldCtx,
     LaurentTail,
     Poly,
     QuadForm,
     arc_integral_closed,
     arc_integral_direct,
+    classify,
     enumerate_below,
     form_exp_sum,
     gauss_sum,
@@ -22,14 +25,8 @@ from quadricpoints import (
     twisted_gauss_sum_prime_power,
     weyl_sum,
 )
+from quadricpoints import expsums
 from quadricpoints.characters import ratio_char_exponent
-from quadricpoints.expsums import qpow
-
-
-def test_qpow():
-    assert qpow(3, 2) == Fraction(9)
-    assert qpow(3, 0) == Fraction(1)
-    assert qpow(3, -2) == Fraction(1, 9)
 
 
 def test_quadform_validation(F3):
@@ -210,3 +207,49 @@ def test_arc_integral_rejects_deep_denominators(F3):
         arc_integral_closed(f, t * t, 1)
     with pytest.raises(ValueError):
         arc_integral_direct(f, t * t, 1)
+
+
+
+def _arc_by_local_factors(f, rho, P):
+    """The arc integral as a layer sum of closed local factors at powers of t,
+    q^(n rho + n + 1 - 2P) * sum_k q^(nk) S_(t^(P - rho - k - 1)): the
+    reference the phi power sum form of arc_integral_closed must reproduce."""
+    q, n = f.ctx.q, f.n
+    if rho == P:
+        return Fraction(q) ** (P * (n - 2))
+    acc = sum(q ** (n * k) * local_factor_closed(f, Poly.t_power(f.ctx, P - rho - k - 1)) for k in range(P - rho))
+    return Fraction(q) ** (n * rho + n + 1 - 2 * P) * acc
+
+
+def test_arc_integral_closed_equals_the_local_factor_sum():
+    # F_3, F_5, F_7, F_9, F_11; n = 1..7 in both square classes; 0 <= deg r <= P <= 7
+    cells = 0
+    for ctx in (FieldCtx(3), FieldCtx(5), FieldCtx(7), FieldCtx(3, 2), FieldCtx(11)):
+        nonsquare = next(u for u in ctx.units() if not ctx.is_square_unit(u))
+        for n in range(1, 8):
+            for f in (QuadForm(ctx, (1,) * n), QuadForm(ctx, (1,) * (n - 1) + (nonsquare,))):
+                for P in range(8):
+                    for rho in range(P + 1):
+                        got = arc_integral_closed(f, Poly.t_power(ctx, rho), P)
+                        assert got == _arc_by_local_factors(f, rho, P), (ctx.q, f.coeffs, P, rho)
+                        cells += 1
+    assert cells == 2520
+
+
+def test_arc_integral_closed_factors_nothing(monkeypatch, F3, F5):
+    cells = [
+        (QuadForm(ctx, coeffs), P, rho)
+        for ctx in (F3, F5)
+        for coeffs in ((1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 1, 1))
+        for P in range(5)
+        for rho in range(P + 1)
+    ]
+    assert {classify(f) for f, _, _ in cells} == set(CaseTag)
+    expected = [_arc_by_local_factors(f, rho, P) for f, P, rho in cells]
+
+    def refuse(r):
+        raise RuntimeError("arc_integral_closed called factorize")
+
+    monkeypatch.setattr(expsums, "factorize", refuse)
+    got = [arc_integral_closed(f, Poly.t_power(f.ctx, rho), P) for f, P, rho in cells]
+    assert got == expected

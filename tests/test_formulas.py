@@ -60,6 +60,8 @@ N_ANCHORS = [
     ((5, (1, 1, 1), 2), 145),
     ((5, (1, 1, 1, 4), 1), 145),
     ((5, (1, 1, 1, 2), 1), 105),
+    ((3, (1, 1, 1, 2), 2), 81),
+    ((5, (1, 1, 1, 2), 2), 625),
 ]
 
 # oracle-frozen morphism counts: ((q, coeffs, P), count)

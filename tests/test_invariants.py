@@ -14,6 +14,15 @@ def _nodes():
             yield f"{path.name}:{getattr(node, 'lineno', 0)}", node
 
 
+def _absolute_imports(node) -> set:
+    """The top-level packages an absolute import statement names; empty for any other node."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[0] for a in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
+
+
 def test_library_has_no_assert_statements():
     assert [where for where, node in _nodes() if isinstance(node, ast.Assert)] == []
 
@@ -64,18 +73,8 @@ def test_library_reads_no_environment():
 def test_library_starts_no_threads():
     """Every computation runs in order in the calling thread, so the first
     refusal stops all work and no lock guards shared state."""
-    banned = ("threading", "concurrent", "multiprocessing")
-
-    def imports_concurrency(node):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            return False
-        return any(name.split(".")[0] in banned for name in names)
-
-    assert [where for where, node in _nodes() if imports_concurrency(node)] == []
+    banned = {"threading", "concurrent", "multiprocessing"}
+    assert [where for where, node in _nodes() if banned & _absolute_imports(node)] == []
 
 
 def _package_imports(module: str) -> dict:
@@ -104,3 +103,9 @@ def test_oracle_shares_no_code_with_the_closed_routes():
     for path in sorted(ROOT.glob("*.py")):
         if path.stem not in ("oracle", "verify", "cli", "__init__"):
             assert "oracle" not in _package_imports(path.stem), path.name
+
+
+def test_library_draws_no_random_numbers():
+    """Every algorithm is deterministic, the factor search included, so a
+    run's work and answer depend on its input alone."""
+    assert [where for where, node in _nodes() if "random" in _absolute_imports(node)] == []

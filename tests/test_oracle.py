@@ -81,6 +81,13 @@ def test_primitive_counts(F3):
         assert brute_primitive_count(f, P) == (n_mid - 3 * n_below) // 2 + 1
 
 
+def test_primitive_oracle_splits_a_plane_one_variable_against_one(F3):
+    # the last variable alone is the tail, so P = 8 sorts 3^8 values, not 3^16 pair sums
+    for coeffs in [(1, 1), (1, 2)]:
+        f = QuadForm(F3, coeffs)
+        assert brute_primitive_count(f, 8) == count_primitive(f, 8)
+
+
 def test_morphism_oracle_matches_formula(F3):
     for coeffs in [(1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2)]:
         f = QuadForm(F3, coeffs)
