@@ -291,7 +291,7 @@ def _make_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=oracle.DEFAULT_BUDGET, help="enumeration budget (evaluations)"
     )
     common.add_argument("--emit", choices=["json", "csv"], default="json")
-    # kept for argv lists that still pass it; ROADMAP item 2 deletes it
+    # kept for argv lists that still pass it; benchmark v2 (ROADMAP item 1) deletes it
     common.add_argument("--jobs", type=int, default=1, help="accepted and ignored: cells run in order")
 
     form_args = argparse.ArgumentParser(add_help=False)

@@ -8,10 +8,10 @@ F_q[t]/t^(2P-1): under the base-p digits of the coefficient encodings,
 the group (Z/p)^K, K = (2P-1) nu, added digit by digit, with elements
 encoded below G = q^(2P-1).
 
-* Brute force meets in the middle: the sums of the last floor(n/2)
-  coordinates and the negated sums of the first ceil(n/2), formed in
-  chunks of ``_CHUNK`` tuples, are histogrammed, and N is the dot
-  product of the two histograms.  That touches q^(ceil(n/2) P) +
+* Brute force meets in the middle through one join: the sums of the last
+  floor(n/2) coordinates are histogrammed once, and the negated sums of
+  the first ceil(n/2), formed in chunks of ``_CHUNK`` tuples, are looked
+  up in it; N is the total found.  That touches q^(ceil(n/2) P) +
   q^(floor(n/2) P) tuples.
 * Convolution: the mass at 0 is G^-1 sum_xi prod_i H_i^(xi), with H_i^
   the length-p Fourier transform of variable i's value histogram along
@@ -23,11 +23,9 @@ encoded below G = q^(2P-1).
   modulus serves every coefficient.  It raises unless the moduli
   multiply past the box size q^(nP) and p (l - 1)^2 < 2^63, so no int64
   sum of p products overflows.
-* Primitivity: the sums of the first n - 2 coordinates are looked up in
-  the histogram of the q^(2P) sums of the last pair, which lists every
-  solution; at n = 2 the first coordinate is looked up against the q^P
-  values of the second.  Each box element has a bitmask of its monic
-  irreducible divisors of degree <= P - 1 (zero has every bit); a tuple has gcd 1
+* Primitivity: the same join, with the tail sums sorted, lists every
+  solution.  Each box element has a bitmask of its monic irreducible
+  divisors of degree <= P - 1 (zero has every bit); a tuple has gcd 1
   iff its masks AND to 0.  A sieve builds them: in ascending degree, a
   monic element no smaller irreducible divides is irreducible and marks
   its multiples pi * g.
@@ -112,23 +110,23 @@ def _box_values(f: QuadForm, P: int) -> dict:
     return {a: _digits(_fq_mul(ctx, a, squares), ctx.p, ctx.nu).reshape(len(squares), -1) for a in set(f.coeffs)}
 
 
-def _tuple_sums(tables: list, p: int):
+def _tuple_sums(tables: list, p: int, chunk: int = _CHUNK):
     """Chunks (rows, encodings) of the group sums over every tuple of table
-    rows, rows[k] indexing tables[k], the first table varying fastest; with
-    no tables, the one empty tuple sums to 0.
+    rows, ``chunk`` tuples at a time, rows[k] indexing tables[k], the first
+    table varying fastest; with no tables, the one empty tuple sums to 0.
 
     The chunk buffers are allocated once and reused, so the rows are views
     that stay valid only until the next chunk; the encodings are fresh.
     """
     total = math.prod(len(t) for t in tables)
-    size = min(_CHUNK, total)
+    size = min(chunk, total)
     steps = np.arange(size)
     rest = np.empty(size, dtype=np.int64)
     acc = np.empty((size, tables[0].shape[1] if tables else 1), dtype=np.int64)
     gathered = np.empty_like(acc)
     buffers = [np.empty(size, dtype=np.int64) for _ in tables]
-    for start in range(0, total, _CHUNK):
-        m = min(_CHUNK, total - start)
+    for start in range(0, total, size):
+        m = min(size, total - start)
         index, sums, rows = rest[:m], acc[:m], [b[:m] for b in buffers]
         np.add(steps[:m], start, out=index)
         sums.fill(0)
@@ -139,46 +137,41 @@ def _tuple_sums(tables: list, p: int):
         yield rows, _undigits(np.remainder(sums, p, out=sums), p)
 
 
-def _sum_histogram(tables: list, p: int, bins: int) -> np.ndarray:
-    """How often each group sum occurs over every tuple of table rows,
-    streamed a chunk at a time; every sum must lie below ``bins``."""
-    hist = np.zeros(bins, dtype=np.int64)
-    for _, sums in _tuple_sums(tables, p):
-        hist += np.bincount(sums, minlength=bins)
-    return hist
+def _join(f: QuadForm, P: int):
+    """The sums of every tail tuple (the last floor(n/2) variables, the
+    first fastest), their histogram, and a stream of chunks (rows, sums,
+    found) of the negated head sums (the first ceil(n/2)), found[i] being
+    the number of tail tuples that complete head tuple i to a solution.
 
-
-def _split_box(f: QuadForm, P: int):
-    """The negated digit tables of the head variables, and the sums of
-    every tuple of the tail at i_(n-1) + q^P i_n: the tail is the last
-    pair for n >= 3 and the last variable, at i_n, for n = 2."""
-    p = f.ctx.p
+    The histogram ends in one empty bin, into which head sums past the
+    largest tail sum are clipped: the one empty tail tuple of n = 1 needs
+    no q^(2P-1) bins."""
+    p, split = f.ctx.p, f.n - f.n // 2
     digits = list(map(_box_values(f, P).get, f.coeffs))
-    split = max(f.n - 2, 1)
-    pairs = np.concatenate([enc for _, enc in _tuple_sums(digits[split:], p)])
-    return [-d % p for d in digits[:split]], pairs
+    tail = np.concatenate([enc for _, enc in _tuple_sums(digits[split:], p)])
+    hist = np.bincount(tail, minlength=int(tail.max()) + 2)
+    head = [-d % p for d in digits[:split]]
+
+    def stream(chunk: int = _CHUNK):
+        for rows, sums in _tuple_sums(head, p, chunk):
+            yield rows, sums, hist.take(sums, mode="clip")
+
+    return tail, hist, stream
 
 
 def brute_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
     """N(P) by exact enumeration of the height box, meeting in the middle.
 
-    The sums of the last k = floor(n/2) coordinates are histogrammed, and
-    so are the negated sums of the first n - k; N is the dot product of
-    the two histograms.  The budget still charges the q^(nP) tuples the
-    count covers, so the int64 dot product cannot overflow.
+    N is the total of ``_join``'s found counts.  The budget still charges
+    the q^(nP) tuples the count covers, so no int64 chunk total overflows.
     """
     if P < 0:
         raise ValueError("P must be >= 0")
     _check_budget(f, P, budget)
     if P == 0:
         return 1
-    p, split = f.ctx.p, f.n - f.n // 2
-    digits = list(map(_box_values(f, P).get, f.coeffs))
-    head = [-d % p for d in digits[:split]]
-    if split == f.n:  # n = 1: the one empty tail tuple sums to 0, so no q^(2P-1) bins
-        return sum(int(np.count_nonzero(sums == 0)) for _, sums in _tuple_sums(head, p))
-    bins = f.ctx.q ** (2 * P - 1)
-    return int(_sum_histogram(head, p, bins) @ _sum_histogram(digits[split:], p, bins))
+    _, _, stream = _join(f, P)
+    return sum(int(found.sum()) for _, _, found in stream())
 
 
 def _divisor_masks(ctx: FieldCtx, P: int) -> np.ndarray:
@@ -204,32 +197,36 @@ def _divisor_masks(ctx: FieldCtx, P: int) -> np.ndarray:
 
 
 def brute_primitive_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Primitive solutions (unit gcd) in the box, divided by the q - 1 units."""
+    """Primitive solutions (unit gcd) in the box, divided by the q - 1 units.
+
+    A head tuple's solutions are the run of its sum in the sorted tail
+    sums; each tail index is decoded into its rows by divmod q^P.
+    """
     if P < 0:
         raise ValueError("P must be >= 0")
     _check_budget(f, P, budget)
     if P == 0 or f.n == 1:
         return 0  # the box is {0}, or a x^2 = 0 only at x = 0
-    ctx = f.ctx
-    masks = _divisor_masks(ctx, P)
-    head, pairs = _split_box(f, P)
-    hist = np.bincount(pairs, minlength=ctx.q ** (2 * P - 1))
-    order = np.argsort(pairs, kind="stable")
-    starts = np.cumsum(hist) - hist  # where each sum's run begins in pairs[order]
+    masks = _divisor_masks(f.ctx, P)
+    tail, hist, stream = _join(f, P)
+    order = np.argsort(tail, kind="stable")
+    starts = np.cumsum(hist) - hist  # where each sum's run begins in tail[order]
     acc = 0
-    for rows, targets in _tuple_sums(head, ctx.p):
-        cnt = hist[targets]
-        which = np.repeat(np.arange(targets.size), cnt)
-        offset = np.arange(which.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        pair = order[starts[targets][which] + offset]
-        # a one-variable tail has pair // q^P = 0, whose mask has every bit
-        common = masks[pair % len(masks)] & masks[pair // len(masks)]
-        for r in rows:
+    # a head tuple extends to at most max(hist) solutions, so a chunk lists at most _CHUNK * 16
+    for rows, sums, found in stream(max(1, min(_CHUNK, _CHUNK * 16 // int(hist.max())))):
+        which = np.repeat(np.arange(found.size), found)
+        offset = np.arange(which.size) - np.repeat(np.cumsum(found) - found, found)
+        match = order[starts[sums[which]] + offset]
+        common = masks[rows[0][which]]
+        for r in rows[1:]:
             common &= masks[r[which]]
+        for _ in range(f.n // 2):
+            match, r = np.divmod(match, len(masks))
+            common &= masks[r]
         acc += which.size - int(np.count_nonzero(common.any(axis=1)))
-    if acc % (ctx.q - 1):
+    if acc % (f.ctx.q - 1):
         raise RuntimeError("unit orbits of primitive solutions tore")
-    return acc // (ctx.q - 1)
+    return acc // (f.ctx.q - 1)
 
 
 def brute_morphism_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:

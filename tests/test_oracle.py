@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,25 @@ def test_primitive_oracle_splits_a_plane_one_variable_against_one(F3):
         assert brute_primitive_count(f, 8) == count_primitive(f, 8)
 
 
+@pytest.mark.parametrize(
+    "coeffs, P", [((1, 1, 1), 6), ((1, 1, 2), 6), ((1,) * 7 + (2,), 2)], ids=["n3-squares", "n3-nonsquare", "n8"]
+)
+def test_primitive_oracle_meets_in_the_middle_in_small_memory(F3, coeffs, P):
+    # n = 3: two head variables against one tail variable; forming and
+    # sorting the 3^12 sums of the last pair instead peaks near 11.5 MiB.
+    # n = 8: a head tuple has about 3^5 solutions, so a full chunk of head
+    # tuples would list them at a peak near 49 MiB
+    f = QuadForm(F3, coeffs)
+    tracemalloc.start()
+    try:
+        got = brute_primitive_count(f, P, budget=3**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == count_primitive(f, P)
+    assert peak < 6 * 2**20, peak
+
+
 def test_morphism_oracle_matches_formula(F3):
     for coeffs in [(1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2)]:
         f = QuadForm(F3, coeffs)
@@ -123,8 +143,8 @@ def test_morphism_is_primitive_difference(F3):
 _SWEEP_FIELDS = [(p, nu) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47) for nu in (1, 2, 3) if p**nu <= 49]
 
 #: the sweep's cap on brute's larger half, q^(ceil(n/2) P), on count_circle's
-#: q^P moduli (about 0.5 ms each), and on the primitive oracle's q^(2(P+1)) pairs
-_SWEEP_TUPLES, _SWEEP_MODULI, _SWEEP_PAIRS = 2 * 10**5, 10**3, 2 * 10**5
+#: q^P moduli (about 0.5 ms each), and on the solutions the primitive oracle lists
+_SWEEP_TUPLES, _SWEEP_MODULI, _SWEEP_SOLUTIONS = 2 * 10**5, 10**3, 10**6
 
 
 @functools.cache
@@ -169,14 +189,17 @@ def _check_oracles_agree(case, sweep=False):
     """brute == conv == exact, and the closed primitive and morphism counts
     against their oracles where q^(n(P+1)) is within the budget.  The
     sweep also checks circle where q^P <= _SWEEP_MODULI, and the primitive
-    side only where its q^(2(P+1)) pairs are at most _SWEEP_PAIRS."""
+    side only where, at P + 1, its larger half q^(ceil(n/2)(P+1)) is at most
+    _SWEEP_TUPLES and the N(P+1) solutions it lists at most _SWEEP_SOLUTIONS."""
     (p, nu), coeffs, P = case
     f, q, n = QuadForm(_field(p, nu), coeffs), p**nu, len(coeffs)
     want = count_exact(f, P)
     assert brute_count(f, P) == convolution_count(f, P) == want, case
     if sweep and q**P <= _SWEEP_MODULI:
         assert count_circle(f, P) == want, case
-    if q ** (n * (P + 1)) <= DEFAULT_BUDGET and not (sweep and q ** (2 * (P + 1)) > _SWEEP_PAIRS):
+    if q ** (n * (P + 1)) <= DEFAULT_BUDGET and not (
+        sweep and (q ** ((n - n // 2) * (P + 1)) > _SWEEP_TUPLES or count_exact(f, P + 1) > _SWEEP_SOLUTIONS)
+    ):
         assert brute_primitive_count(f, P) == count_primitive(f, P), case
         assert brute_morphism_count(f, P) == morphism_count(f, P), case
 
@@ -206,20 +229,24 @@ def test_brute_touches_both_halves_once(monkeypatch):
     touched = []
     real = oracle._tuple_sums
 
-    def counted(tables, p):
-        for rows, sums in real(tables, p):
+    def counted(*args):
+        for rows, sums in real(*args):
             touched.append(sums.size)
             yield rows, sums
 
     monkeypatch.setattr(oracle, "_tuple_sums", counted)
     q, P = 3, 2
     for n in range(1, 9):
-        touched.clear()
         f = QuadForm(FieldCtx(q), (1,) * (n - 1) + (2,))
+        # at n = 1 the tail is the one empty tuple, which sums to 0
+        want = q ** ((n - n // 2) * P) + q ** (n // 2 * P)
+        touched.clear()
         assert brute_count(f, P) == count_exact(f, P)
-        # at n = 1 the tail is the one empty tuple, and no chunk forms it
-        tail = q ** (n // 2 * P) if n > 1 else 0
-        assert sum(touched) == q ** ((n - n // 2) * P) + tail, n
+        assert sum(touched) == want, n
+        if n > 1:
+            touched.clear()
+            assert brute_primitive_count(f, P) == count_primitive(f, P)
+            assert sum(touched) == want, n
 
 
 @pytest.mark.parametrize("p, nu", [(7, 1), (3, 2), (5, 2), (3, 3)])
