@@ -45,8 +45,6 @@ from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     brute_count,
-    brute_morphism_count,
-    brute_primitive_count,
     convolution_count,
 )
 from .polyring import (
@@ -101,8 +99,6 @@ __all__ = [
     "phi_degree_sum",
     "phi_power_sum",
     "brute_count",
-    "brute_primitive_count",
-    "brute_morphism_count",
     "convolution_count",
     "BudgetExceeded",
     "DEFAULT_BUDGET",

@@ -24,11 +24,10 @@ import math
 import sys
 import time
 
-from . import oracle
 from .field import FieldCtx
 from .forms import QuadForm, classify, diagonalize, morphisms_from_primitive, primitive_from_counts
 from .formulas import count_circle, count_exact, morphism_count
-from .oracle import BudgetExceeded, brute_count, brute_primitive_count, convolution_count
+from .oracle import DEFAULT_BUDGET, BudgetExceeded, brute_count, convolution_count
 from .verify import SUITES
 
 SCHEMA_VERSION = 1
@@ -195,7 +194,8 @@ def _table_column(f: QuadForm, P_values: list[int], method: str, budget: int):
 
     The counts are taken in the order the rows first need them (P, P - 1,
     P + 1), so the first refusal or error is the one a row-by-row
-    evaluation would hit.  Morphisms are the increment of the primitive
+    evaluation would hit.  Primitive counts follow from N(P) and N(P - 1)
+    on every column, and morphisms are the increment of the primitive
     count, except on the exact column, which has its own closed formula.
     """
     label, count = METHODS[method]
@@ -206,8 +206,6 @@ def _table_column(f: QuadForm, P_values: list[int], method: str, budget: int):
 
     @functools.cache
     def primitive(k: int) -> int:
-        if method == "brute":
-            return brute_primitive_count(f, k, budget)
         return primitive_from_counts(count_at(k), count_at(k - 1), f.ctx.q)
 
     for P in P_values:
@@ -288,7 +286,7 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--nu", type=int, help="extension degree (default 1)")
     common.add_argument("--modulus", help="comma list of F_p coefficients, low to high")
     common.add_argument(
-        "--budget", type=int, default=oracle.DEFAULT_BUDGET, help="enumeration budget (evaluations)"
+        "--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget (evaluations)"
     )
     common.add_argument("--emit", choices=["json", "csv"], default="json")
     # kept for argv lists that still pass it; benchmark v2 (ROADMAP item 1) deletes it

@@ -8,11 +8,12 @@ F_q[t]/t^(2P-1): under the base-p digits of the coefficient encodings,
 the group (Z/p)^K, K = (2P-1) nu, added digit by digit, with elements
 encoded below G = q^(2P-1).
 
-* Brute force meets in the middle through one join: the sums of the last
-  floor(n/2) coordinates are histogrammed once, and the negated sums of
-  the first ceil(n/2), formed in chunks of ``_CHUNK`` tuples, are looked
-  up in it; N is the total found.  That touches q^(ceil(n/2) P) +
-  q^(floor(n/2) P) tuples.
+* Brute force meets in the middle: the sums of the last floor(n/2)
+  coordinates are histogrammed once, and the negated sums of the first
+  ceil(n/2), formed in chunks of ``_CHUNK`` tuples, are looked up in it;
+  N is the total found.  That touches q^(ceil(n/2) P) + q^(floor(n/2) P)
+  tuples.  Primitive and morphism counts are not enumerated: they follow
+  from N alone (``forms.primitive_from_counts``).
 * Convolution: the mass at 0 is G^-1 sum_xi prod_i H_i^(xi), with H_i^
   the length-p Fourier transform of variable i's value histogram along
   each axis, taken exactly modulo primes l = 1 (mod p) and recovered by
@@ -23,12 +24,6 @@ encoded below G = q^(2P-1).
   modulus serves every coefficient.  It raises unless the moduli
   multiply past the box size q^(nP) and p (l - 1)^2 < 2^63, so no int64
   sum of p products overflows.
-* Primitivity: the same join, with the tail sums sorted, lists every
-  solution.  Each box element has a bitmask of its monic irreducible
-  divisors of degree <= P - 1 (zero has every bit); a tuple has gcd 1
-  iff its masks AND to 0.  A sieve builds them: in ascending degree, a
-  monic element no smaller irreducible divides is irreducible and marks
-  its multiples pi * g.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .field import FieldCtx, is_prime
-from .forms import QuadForm, morphisms_from_primitive
+from .forms import QuadForm
 
 DEFAULT_BUDGET = 10**8
 
@@ -110,134 +105,47 @@ def _box_values(f: QuadForm, P: int) -> dict:
     return {a: _digits(_fq_mul(ctx, a, squares), ctx.p, ctx.nu).reshape(len(squares), -1) for a in set(f.coeffs)}
 
 
-def _tuple_sums(tables: list, p: int, chunk: int = _CHUNK):
-    """Chunks (rows, encodings) of the group sums over every tuple of table
-    rows, ``chunk`` tuples at a time, rows[k] indexing tables[k], the first
-    table varying fastest; with no tables, the one empty tuple sums to 0.
-
-    The chunk buffers are allocated once and reused, so the rows are views
-    that stay valid only until the next chunk; the encodings are fresh.
-    """
+def _tuple_sums(tables: list, p: int):
+    """Chunks of the encodings of the group sums over every tuple of table
+    rows, ``_CHUNK`` tuples at a time, the first table varying fastest; with
+    no tables, the one empty tuple sums to 0."""
     total = math.prod(len(t) for t in tables)
-    size = min(chunk, total)
+    size = min(_CHUNK, total)
     steps = np.arange(size)
-    rest = np.empty(size, dtype=np.int64)
+    rest, row = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
     acc = np.empty((size, tables[0].shape[1] if tables else 1), dtype=np.int64)
     gathered = np.empty_like(acc)
-    buffers = [np.empty(size, dtype=np.int64) for _ in tables]
     for start in range(0, total, size):
         m = min(size, total - start)
-        index, sums, rows = rest[:m], acc[:m], [b[:m] for b in buffers]
+        index, r, sums = rest[:m], row[:m], acc[:m]
         np.add(steps[:m], start, out=index)
         sums.fill(0)
-        for t, r in zip(tables, rows):
+        for t in tables:
             np.divmod(index, len(t), out=(index, r))
             # r < len(t); "clip" fills out directly, where "raise" buffers it
             np.add(sums, np.take(t, r, axis=0, out=gathered[:m], mode="clip"), out=sums)
-        yield rows, _undigits(np.remainder(sums, p, out=sums), p)
-
-
-def _join(f: QuadForm, P: int):
-    """The sums of every tail tuple (the last floor(n/2) variables, the
-    first fastest), their histogram, and a stream of chunks (rows, sums,
-    found) of the negated head sums (the first ceil(n/2)), found[i] being
-    the number of tail tuples that complete head tuple i to a solution.
-
-    The histogram ends in one empty bin, into which head sums past the
-    largest tail sum are clipped: the one empty tail tuple of n = 1 needs
-    no q^(2P-1) bins."""
-    p, split = f.ctx.p, f.n - f.n // 2
-    digits = list(map(_box_values(f, P).get, f.coeffs))
-    tail = np.concatenate([enc for _, enc in _tuple_sums(digits[split:], p)])
-    hist = np.bincount(tail, minlength=int(tail.max()) + 2)
-    head = [-d % p for d in digits[:split]]
-
-    def stream(chunk: int = _CHUNK):
-        for rows, sums in _tuple_sums(head, p, chunk):
-            yield rows, sums, hist.take(sums, mode="clip")
-
-    return tail, hist, stream
+        yield _undigits(np.remainder(sums, p, out=sums), p)
 
 
 def brute_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
     """N(P) by exact enumeration of the height box, meeting in the middle.
 
-    N is the total of ``_join``'s found counts.  The budget still charges
-    the q^(nP) tuples the count covers, so no int64 chunk total overflows.
+    The tail histogram ends in one empty bin, into which head sums past
+    the largest tail sum are clipped: the one empty tail tuple of n = 1
+    needs no q^(2P-1) bins.  The budget still charges the q^(nP) tuples
+    the count covers, so no int64 chunk total overflows.
     """
     if P < 0:
         raise ValueError("P must be >= 0")
     _check_budget(f, P, budget)
     if P == 0:
         return 1
-    _, _, stream = _join(f, P)
-    return sum(int(found.sum()) for _, _, found in stream())
-
-
-def _divisor_masks(ctx: FieldCtx, P: int) -> np.ndarray:
-    """Bitmasks (q^P, W) uint64 of the monic irreducible divisors of degree
-    <= P - 1 of each box element, zero having every bit; the bits follow
-    the irreducibles' encodings in ascending order."""
-    q = ctx.q
-    box = _digits(np.arange(q**P), q, P)
-    divided = np.zeros(q**P, dtype=bool)
-    bits, marks = 0, []
-    for d in range(1, P):
-        monic = np.arange(q**d, 2 * q**d)
-        pis = monic[~divided[monic]]
-        products = _undigits(_poly_mul(ctx, box[pis, None, : d + 1], box[: q ** (P - d), : P - d]), q)
-        divided[products] = True
-        marks.append((products, np.arange(bits, bits + pis.size)[:, None]))
-        bits += pis.size
-    masks = np.zeros((q**P, bits // 64 + 1), dtype=np.uint64)
-    for products, bit in marks:
-        np.bitwise_or.at(masks, (products, bit // 64), np.uint64(1) << (bit % 64).astype(np.uint64))
-    masks[0] = np.iinfo(np.uint64).max
-    return masks
-
-
-def brute_primitive_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Primitive solutions (unit gcd) in the box, divided by the q - 1 units.
-
-    A head tuple's solutions are the run of its sum in the sorted tail
-    sums; each tail index is decoded into its rows by divmod q^P.
-    """
-    if P < 0:
-        raise ValueError("P must be >= 0")
-    _check_budget(f, P, budget)
-    if P == 0 or f.n == 1:
-        return 0  # the box is {0}, or a x^2 = 0 only at x = 0
-    masks = _divisor_masks(f.ctx, P)
-    tail, hist, stream = _join(f, P)
-    order = np.argsort(tail, kind="stable")
-    starts = np.cumsum(hist) - hist  # where each sum's run begins in tail[order]
-    acc = 0
-    # a head tuple extends to at most max(hist) solutions, so a chunk lists at most _CHUNK * 16
-    for rows, sums, found in stream(max(1, min(_CHUNK, _CHUNK * 16 // int(hist.max())))):
-        which = np.repeat(np.arange(found.size), found)
-        offset = np.arange(which.size) - np.repeat(np.cumsum(found) - found, found)
-        match = order[starts[sums[which]] + offset]
-        common = masks[rows[0][which]]
-        for r in rows[1:]:
-            common &= masks[r[which]]
-        for _ in range(f.n // 2):
-            match, r = np.divmod(match, len(masks))
-            common &= masks[r]
-        acc += which.size - int(np.count_nonzero(common.any(axis=1)))
-    if acc % (f.ctx.q - 1):
-        raise RuntimeError("unit orbits of primitive solutions tore")
-    return acc // (f.ctx.q - 1)
-
-
-def brute_morphism_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Degree-P morphism count as the increment of the primitive count.
-
-    Needs the box at P + 1, so the budget must cover q^(n(P+1)).
-    """
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    hi = brute_primitive_count(f, P + 1, budget)
-    return morphisms_from_primitive(hi, brute_primitive_count(f, P, budget))
+    p, split = f.ctx.p, f.n - f.n // 2
+    digits = list(map(_box_values(f, P).get, f.coeffs))
+    tail = np.concatenate(list(_tuple_sums(digits[split:], p)))
+    hist = np.bincount(tail, minlength=int(tail.max()) + 2)
+    head = [-d % p for d in digits[:split]]
+    return sum(int(hist.take(sums, mode="clip").sum()) for sums in _tuple_sums(head, p))
 
 
 # ---------------------------------------------------------------------------
@@ -292,24 +200,16 @@ def _transform(h: np.ndarray, powers: np.ndarray, l: int) -> np.ndarray:
 
 def _scaled_index(ctx: FieldCtx, u: int, K: int) -> np.ndarray:
     """The encodings of M^T xi for xi < p^K, M the multiplication by u on each
-    nu-digit block, so that H_(u x^2)^ = H_(x^2)^[index].  Built digit by
-    digit, so only G-sized arrays are live."""
-    p, nu = ctx.p, ctx.nu
-    # (M^T xi)_i on a block is <coordinates of u alpha^i, xi's block>
-    rows = [ctx.coeffs(ctx.mul(u, p**i)) for i in range(nu)]
-    xi = np.arange(p**K)
-    index, digit, acc = np.zeros_like(xi), np.empty_like(xi), np.empty_like(xi)
-    for block in range(0, K, nu):
-        for i, row in enumerate(rows):
-            acc.fill(0)
-            for j, m in enumerate(row):
-                np.floor_divide(xi, p ** (block + j), out=digit)
-                digit %= p
-                digit *= m
-                acc += digit
-            acc %= p
-            acc *= p ** (block + i)
-            index += acc
+    nu-digit block, so that H_(u x^2)^ = H_(x^2)^[index].  M^T acts block by
+    block with no carry, so the index is one q-entry table of its action on
+    a block, laid out once per block, the last block outermost."""
+    p, nu, q = ctx.p, ctx.nu, ctx.q
+    # (M^T v)_i on a block v is <coordinates of u alpha^i, v>
+    rows = np.array([ctx.coeffs(ctx.mul(u, p**i)) for i in range(nu)])
+    table = _undigits(_digits(np.arange(q), p, nu) @ rows.T % p, p)
+    index = table
+    for b in range(1, K // nu):
+        index = (table[:, None] * q**b + index).ravel()
     return index
 
 

@@ -29,9 +29,9 @@ from .expsums import (
     weyl_sum,
 )
 from .field import FieldCtx
-from .forms import QuadForm
+from .forms import QuadForm, morphisms_from_primitive, primitive_from_counts
 from .formulas import count_circle, count_exact, count_primitive, morphism_count
-from .oracle import DEFAULT_BUDGET, brute_count, brute_morphism_count, convolution_count
+from .oracle import DEFAULT_BUDGET, brute_count, convolution_count
 from .polyring import (
     Poly,
     enumerate_below,
@@ -190,7 +190,11 @@ def suite_mor(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = DEFAULT
             continue
         for P in range(1, pmax + 1):
             closed = morphism_count(f, P)
-            brute = brute_morphism_count(f, P, budget)
+            # the largest box first, so a refusal names the estimate of the largest box
+            n_above, n_mid, n_below = (brute_count(f, k, budget) for k in (P + 1, P, P - 1))
+            brute = morphisms_from_primitive(
+                primitive_from_counts(n_above, n_mid, ctx.q), primitive_from_counts(n_mid, n_below, ctx.q)
+            )
             derived = count_primitive(f, P + 1) - count_primitive(f, P)
             rid = f"mor[{f.coeffs},P={P}]"
             out.append(_record(rid, closed=closed, brute=brute, derived=derived))

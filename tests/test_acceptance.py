@@ -19,7 +19,6 @@ from quadricpoints import (
     FieldCtx,
     QuadForm,
     brute_count,
-    brute_morphism_count,
     classify,
     convolution_count,
     count_circle,
@@ -29,6 +28,7 @@ from quadricpoints import (
 )
 from quadricpoints.cli import main as cli_main
 from quadricpoints.polyring import Poly
+from test_oracle import derived_counts, primitive_reference
 from quadricpoints.verify import (
     suite_arcs,
     suite_gauss,
@@ -106,7 +106,8 @@ def test_02_unit_box_constants(capsys):
 
 
 def test_03_morphism_counts_match_enumeration(capsys):
-    """Closed morphism-count formulas against the primitive-solution oracle."""
+    """Closed morphism-count formulas against those derived from brute_count,
+    and for n <= 4 against the gcd enumeration of primitive solutions."""
     start = time.monotonic()
     failures = []
     ctx = FieldCtx(3)
@@ -115,9 +116,11 @@ def test_03_morphism_counts_match_enumeration(capsys):
         for f in _representatives(ctx, n):
             for P in (1, 2):
                 closed = morphism_count(f, P)
-                oracle = brute_morphism_count(f, P, budget=10**9)
-                if closed != oracle:
-                    failures.append(f"{f.coeffs} P={P}: closed={closed} oracle={oracle}")
+                sides = {"derived": derived_counts(f, P, budget=10**9)[1]}
+                if n <= 4:
+                    sides["gcd"] = primitive_reference(f, P + 1) - primitive_reference(f, P)
+                if any(v != closed for v in sides.values()):
+                    failures.append(f"{f.coeffs} P={P}: closed={closed} {sides}")
                 if closed == 0:
                     zeros_seen += 1
     if zeros_seen == 0:

@@ -230,14 +230,13 @@ def test_table_computes_each_convolution_once(capsys, monkeypatch):
 
 
 def test_table_computes_each_brute_count_once(capsys, monkeypatch):
-    primitive = _count_calls(monkeypatch, "brute_primitive_count")
-    full = _count_calls(monkeypatch, "brute_count")
+    # primitive and morphism counts derive from N, as on the conv column
+    calls = _count_calls(monkeypatch, "brute_count")
     code, _, _ = run(
         capsys, "table", "--p", "3", "--coeffs", "1,1,1", "--P-range", "1..2", "--method", "brute"
     )
     assert code == 0
-    assert sorted(primitive) == [1, 2, 3]
-    assert sorted(full) == [1, 2]
+    assert sorted(calls) == [0, 1, 2, 3]
 
 
 def test_count_refusal_stops_later_cells(capsys, monkeypatch):

@@ -1,9 +1,9 @@
 """Closed point-count formulas, classification, and helper sums.
 
 Frozen integers in this file were produced by the independent
-enumeration oracles (`brute_count`, `brute_primitive_count`,
-`brute_morphism_count`) and written down; the tests check that the
-closed formulas reproduce them.
+enumeration oracles (`brute_count`, and primitive and morphism counts
+enumerated by gcd) and written down; the tests check that the closed
+formulas reproduce them.
 """
 
 from fractions import Fraction

@@ -105,6 +105,15 @@ def test_oracle_shares_no_code_with_the_closed_routes():
             assert "oracle" not in _package_imports(path.stem), path.name
 
 
+def test_routes_take_only_counts_from_the_oracles():
+    """Primitive and morphism counts derive from N through ``forms``, so the
+    layers above the oracles import no second enumeration path; a whole-module
+    import (``from . import oracle``) reads as "*" and fails too."""
+    allowed = {"BudgetExceeded", "DEFAULT_BUDGET", "brute_count", "convolution_count"}
+    for module in ("cli", "verify"):
+        assert _package_imports(module)["oracle"] <= allowed, module
+
+
 def test_library_draws_no_random_numbers():
     """Every algorithm is deterministic, the factor search included, so a
     run's work and answer depend on its input alone."""

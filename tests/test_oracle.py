@@ -1,6 +1,8 @@
 """Independent enumeration oracles and their agreement with the formulas."""
 
+import collections
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -13,21 +15,21 @@ from quadricpoints import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     FieldCtx,
+    Poly,
     QuadForm,
     brute_count,
-    brute_morphism_count,
-    brute_primitive_count,
     convolution_count,
     count_circle,
     count_exact,
     count_primitive,
-    irreducibles,
+    enumerate_below,
     morphism_count,
-    poly_from_encoding,
+    poly_gcd,
 )
 from quadricpoints import oracle
 from quadricpoints.field import is_prime
-from quadricpoints.oracle import CONVOLUTION_STATE_CAP, _crt_primes, _divisor_masks
+from quadricpoints.forms import morphisms_from_primitive, primitive_from_counts
+from quadricpoints.oracle import CONVOLUTION_STATE_CAP, _crt_primes, _scaled_index
 
 
 def test_brute_equals_convolution_equals_exact(F3):
@@ -71,36 +73,81 @@ def test_extension_field_instance(F9):
     assert count_exact(f, 1) == 81
 
 
-def test_primitive_counts(F3):
-    f = QuadForm(F3, (1, 1, 1))
-    assert brute_primitive_count(f, 1) == 4
-    assert brute_primitive_count(f, 2) == 4
-    # recover the primitive count from plain counts
-    for P in (1, 2):
-        n_mid = brute_count(f, P)
-        n_below = brute_count(f, P - 1)
-        assert brute_primitive_count(f, P) == (n_mid - 3 * n_below) // 2 + 1
+def primitive_reference(f, P):
+    """The primitive count tuple by tuple: the box tuples that solve f and
+    have monic gcd 1, once per unit multiple.  The tail tuples (the last
+    floor(n/2) coordinates) are grouped by the value they add and by their
+    gcd, and a solution's gcd is that of its head's and its tail's.  The
+    reference the counts derived through ``primitive_from_counts`` must
+    reproduce."""
+    ctx, split = f.ctx, f.n - f.n // 2
+    squares = {x: x * x for x in enumerate_below(ctx, P)}
+
+    def value(coeffs, xs):
+        return sum((squares[x].scale(a) for a, x in zip(coeffs, xs)), Poly.zero(ctx))
+
+    @functools.cache
+    def gcd(xs):
+        # gcd(0, x) is x made monic, so the zero coordinates drop out; all zero gives 0
+        return functools.reduce(poly_gcd, [x for x in xs if x], Poly.zero(ctx))
+
+    tails = {}
+    for ys in itertools.product(squares, repeat=f.n // 2):
+        tails.setdefault(value(f.coeffs[split:], ys), collections.Counter())[gcd(ys)] += 1
+    found = 0
+    for xs in itertools.product(squares, repeat=split):
+        matches = tails.get(-value(f.coeffs[:split], xs))
+        if matches:
+            g = gcd(xs)
+            found += sum(count for h, count in matches.items() if gcd((g, h)).is_one())
+    if found % (ctx.q - 1):
+        raise ValueError("unit multiples of a primitive solution are primitive solutions")
+    return found // (ctx.q - 1)
+
+
+def derived_counts(f, P, budget=DEFAULT_BUDGET):
+    """The primitive count at P and the morphism count of degree P, both
+    derived through ``forms`` from brute_count at P + 1, P and P - 1."""
+    above, mid, below = (brute_count(f, k, budget) for k in (P + 1, P, P - 1))
+    prim = primitive_from_counts(mid, below, f.ctx.q)
+    return prim, morphisms_from_primitive(primitive_from_counts(above, mid, f.ctx.q), prim)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_derived_counts_match_the_gcd_reference(q):
+    ctx = _field(q, 1)
+    nonsquare = min(a for a in ctx.units() if not ctx.is_square_unit(a))
+    budget = q ** (4 * 3)  # the charge for n = 4, P = 3, which touches 2 q^6 tuples
+    for n in range(1, 5):
+        for coeffs in {(1,) * n, (1,) * (n - 1) + (nonsquare,)}:
+            f = QuadForm(ctx, coeffs)
+            want = [primitive_reference(f, P) for P in (1, 2, 3)]
+            for P in (1, 2, 3):
+                prim = primitive_from_counts(brute_count(f, P, budget), brute_count(f, P - 1), q)
+                assert prim == want[P - 1] == count_primitive(f, P), (coeffs, P)
+            for P in (1, 2):
+                mor = derived_counts(f, P, budget)[1]
+                assert mor == want[P] - want[P - 1] == morphism_count(f, P), (coeffs, P)
 
 
 def test_primitive_oracle_splits_a_plane_one_variable_against_one(F3):
-    # the last variable alone is the tail, so P = 8 sorts 3^8 values, not 3^16 pair sums
+    # brute_count pits the first variable against the last, so P = 8 forms
+    # 2 * 3^8 values, not 3^16 pair sums
     for coeffs in [(1, 1), (1, 2)]:
         f = QuadForm(F3, coeffs)
-        assert brute_primitive_count(f, 8) == count_primitive(f, 8)
+        assert primitive_from_counts(brute_count(f, 8), brute_count(f, 7), 3) == count_primitive(f, 8)
 
 
 @pytest.mark.parametrize(
     "coeffs, P", [((1, 1, 1), 6), ((1, 1, 2), 6), ((1,) * 7 + (2,), 2)], ids=["n3-squares", "n3-nonsquare", "n8"]
 )
 def test_primitive_oracle_meets_in_the_middle_in_small_memory(F3, coeffs, P):
-    # n = 3: two head variables against one tail variable; forming and
-    # sorting the 3^12 sums of the last pair instead peaks near 11.5 MiB.
-    # n = 8: a head tuple has about 3^5 solutions, so a full chunk of head
-    # tuples would list them at a peak near 49 MiB
+    # the derived primitive count holds no more than brute_count does: chunks
+    # of head sums against one tail histogram, never a list of the solutions
     f = QuadForm(F3, coeffs)
     tracemalloc.start()
     try:
-        got = brute_primitive_count(f, P, budget=3**18)
+        got = primitive_from_counts(brute_count(f, P, budget=3**18), brute_count(f, P - 1), 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -108,11 +155,16 @@ def test_primitive_oracle_meets_in_the_middle_in_small_memory(F3, coeffs, P):
     assert peak < 6 * 2**20, peak
 
 
+def test_primitive_counts(F3):
+    f = QuadForm(F3, (1, 1, 1))
+    assert [derived_counts(f, P)[0] for P in (1, 2)] == [4, 4]
+
+
 def test_morphism_oracle_matches_formula(F3):
     for coeffs in [(1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2)]:
         f = QuadForm(F3, coeffs)
         for P in (1, 2):
-            assert brute_morphism_count(f, P) == morphism_count(f, P)
+            assert derived_counts(f, P)[1] == morphism_count(f, P)
 
 
 def test_budget_refusal(F3):
@@ -120,10 +172,11 @@ def test_budget_refusal(F3):
     with pytest.raises(BudgetExceeded) as excinfo:
         brute_count(f, 3, budget=1000)
     assert "convolution" in str(excinfo.value)
-    with pytest.raises(BudgetExceeded):
-        brute_primitive_count(f, 3, budget=1000)
-    with pytest.raises(BudgetExceeded):
-        brute_morphism_count(f, 2, budget=1000)
+    # the derived counts need the box at P + 1, which refuses first
+    for P in (2, 3):
+        with pytest.raises(BudgetExceeded) as excinfo:
+            derived_counts(f, P, budget=1000)
+        assert f"needs {3 ** (6 * (P + 1))} evaluations" in str(excinfo.value)
 
 
 def test_convolution_state_cap(F5):
@@ -135,16 +188,18 @@ def test_convolution_state_cap(F5):
 def test_morphism_is_primitive_difference(F3):
     f = QuadForm(F3, (1, 1, 1, 1))
     for P in (1, 2):
-        diff = brute_primitive_count(f, P + 1) - brute_primitive_count(f, P)
-        assert brute_morphism_count(f, P) == diff
+        assert derived_counts(f, P)[1] == count_primitive(f, P + 1) - count_primitive(f, P)
 
 
 #: odd q <= 49 as (p, nu), prime and extension fields (nu = 2, 3)
 _SWEEP_FIELDS = [(p, nu) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47) for nu in (1, 2, 3) if p**nu <= 49]
 
-#: the sweep's cap on brute's larger half, q^(ceil(n/2) P), on count_circle's
-#: q^P moduli (about 0.5 ms each), and on the solutions the primitive oracle lists
-_SWEEP_TUPLES, _SWEEP_MODULI, _SWEEP_SOLUTIONS = 2 * 10**5, 10**3, 10**6
+#: the sweep's cap on brute's larger half, q^(ceil(n/2) P), and on count_circle's
+#: q^P moduli (about 0.5 ms each)
+_SWEEP_TUPLES, _SWEEP_MODULI = 2 * 10**5, 10**3
+
+#: the cap on the gcd reference's larger half and on the solutions it lists
+_REFERENCE_TUPLES, _REFERENCE_SOLUTIONS = 2 * 10**4, 5 * 10**4
 
 
 @functools.cache
@@ -187,21 +242,26 @@ def _wider_field_grid(p, nu):
 
 def _check_oracles_agree(case, sweep=False):
     """brute == conv == exact, and the closed primitive and morphism counts
-    against their oracles where q^(n(P+1)) is within the budget.  The
-    sweep also checks circle where q^P <= _SWEEP_MODULI, and the primitive
-    side only where, at P + 1, its larger half q^(ceil(n/2)(P+1)) is at most
-    _SWEEP_TUPLES and the N(P+1) solutions it lists at most _SWEEP_SOLUTIONS."""
+    against those derived from brute where q^(n(P+1)) is within the
+    budget, and against the gcd reference where n <= 4, its larger half
+    q^(ceil(n/2)(P+1)) is at most _REFERENCE_TUPLES and the N(P+1)
+    solutions it lists at most _REFERENCE_SOLUTIONS.  The sweep also
+    checks circle where q^P <= _SWEEP_MODULI, and the derived counts only
+    where brute's larger half at P + 1 is at most _SWEEP_TUPLES."""
     (p, nu), coeffs, P = case
     f, q, n = QuadForm(_field(p, nu), coeffs), p**nu, len(coeffs)
     want = count_exact(f, P)
     assert brute_count(f, P) == convolution_count(f, P) == want, case
     if sweep and q**P <= _SWEEP_MODULI:
         assert count_circle(f, P) == want, case
-    if q ** (n * (P + 1)) <= DEFAULT_BUDGET and not (
-        sweep and (q ** ((n - n // 2) * (P + 1)) > _SWEEP_TUPLES or count_exact(f, P + 1) > _SWEEP_SOLUTIONS)
-    ):
-        assert brute_primitive_count(f, P) == count_primitive(f, P), case
-        assert brute_morphism_count(f, P) == morphism_count(f, P), case
+    half = q ** ((n - n // 2) * (P + 1))
+    if q ** (n * (P + 1)) > DEFAULT_BUDGET or (sweep and half > _SWEEP_TUPLES):
+        return
+    prim, mor = derived_counts(f, P)
+    assert (prim, mor) == (count_primitive(f, P), morphism_count(f, P)), case
+    if n <= 4 and half <= _REFERENCE_TUPLES and count_exact(f, P + 1) <= _REFERENCE_SOLUTIONS:
+        assert prim + mor == primitive_reference(f, P + 1), case
+        assert prim == primitive_reference(f, P), case
 
 
 @pytest.mark.parametrize("q", [7, 11, 25, 27])
@@ -230,9 +290,9 @@ def test_brute_touches_both_halves_once(monkeypatch):
     real = oracle._tuple_sums
 
     def counted(*args):
-        for rows, sums in real(*args):
+        for sums in real(*args):
             touched.append(sums.size)
-            yield rows, sums
+            yield sums
 
     monkeypatch.setattr(oracle, "_tuple_sums", counted)
     q, P = 3, 2
@@ -243,10 +303,6 @@ def test_brute_touches_both_halves_once(monkeypatch):
         touched.clear()
         assert brute_count(f, P) == count_exact(f, P)
         assert sum(touched) == want, n
-        if n > 1:
-            touched.clear()
-            assert brute_primitive_count(f, P) == count_primitive(f, P)
-            assert sum(touched) == want, n
 
 
 @pytest.mark.parametrize("p, nu", [(7, 1), (3, 2), (5, 2), (3, 3)])
@@ -306,16 +362,27 @@ def test_convolution_refuses_without_crt_moduli():
         convolution_count(QuadForm(FieldCtx(1999993), (1,)), 1)
 
 
-@pytest.mark.parametrize("p, nu, P", [(3, 1, 5), (5, 1, 4), (7, 1, 3), (3, 2, 3)])
-def test_mask_sieve_finds_the_irreducibles(p, nu, P):
-    ctx = FieldCtx(p, nu)
-    masks = _divisor_masks(ctx, P)
-    want = [g for d in range(1, P) for g in irreducibles(ctx, d)]
-    assert (masks[0] == ~masks.dtype.type(0)).all()
-    bits = np.unpackbits(masks[1:].astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    assert not bits[:, len(want) :].any()
-    # an irreducible is the smallest nonzero element its bit divides
-    first = 1 + bits[:, : len(want)].argmax(axis=0)
-    assert [poly_from_encoding(ctx, int(e)) for e in first] == want
-    for x in range(1, ctx.q**P, 7):
-        assert bits[x - 1, : len(want)].tolist() == [int((poly_from_encoding(ctx, x) % g).is_zero()) for g in want]
+def _scaled_index_by_digits(ctx, u, K):
+    """M^T xi digit by digit over the whole group: the reference the
+    per-block table of ``_scaled_index`` must reproduce."""
+    p, nu = ctx.p, ctx.nu
+    rows = [ctx.coeffs(ctx.mul(u, p**i)) for i in range(nu)]
+    xi = np.arange(p**K)
+    index = np.zeros_like(xi)
+    for block in range(0, K, nu):
+        for i, row in enumerate(rows):
+            acc = sum(xi // p ** (block + j) % p * m for j, m in enumerate(row))
+            index += acc % p * p ** (block + i)
+    return index
+
+
+@pytest.mark.parametrize("p, nu", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_scaled_index_acts_block_by_block(p, nu):
+    ctx = _field(p, nu)
+    for P in (1, 2, 3):
+        K = (2 * P - 1) * nu
+        if p**K > CONVOLUTION_STATE_CAP:
+            continue
+        for u in ctx.units():
+            if not ctx.is_square_unit(u):
+                assert np.array_equal(_scaled_index(ctx, u, K), _scaled_index_by_digits(ctx, u, K)), (u, P)
