@@ -17,7 +17,7 @@ Layers, bottom to top:
 * :mod:`quadricpoints.expsums`    - Gauss sums, complete sums, phi sums, arc integrals
 * :mod:`quadricpoints.formulas`   - closed-form counts
 * :mod:`quadricpoints.oracle`     - brute-force and convolution enumerators,
-  which import only ``field`` and ``forms``
+  which import only ``field`` and ``forms``, and numpy when first called
 * :mod:`quadricpoints.verify`     - identity suites tying the layers together
 * :mod:`quadricpoints.cli`        - ``quadricpoints`` command-line tool
 """

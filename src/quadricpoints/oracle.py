@@ -9,11 +9,13 @@ the group (Z/p)^K, K = (2P-1) nu, added digit by digit, with elements
 encoded below G = q^(2P-1).
 
 * Brute force meets in the middle: the sums of the last floor(n/2)
-  coordinates are histogrammed once, and the negated sums of the first
-  ceil(n/2), formed in chunks of ``_CHUNK`` tuples, are looked up in it;
-  N is the total found.  That touches q^(ceil(n/2) P) + q^(floor(n/2) P)
-  tuples.  Primitive and morphism counts are not enumerated: they follow
-  from N alone (``forms.primitive_from_counts``).
+  coordinates are tallied once (a histogram, or sorted distinct sums
+  where those are fewer than its bins), and the negated sums of the
+  first ceil(n/2), formed in chunks of ``_CHUNK`` tuples, are looked up
+  in the tally; N is the total found.  That touches
+  q^(ceil(n/2) P) + q^(floor(n/2) P) tuples.  Primitive and morphism
+  counts are not enumerated: they follow from N alone
+  (``forms.primitive_from_counts``).
 * Convolution: the mass at 0 is G^-1 sum_xi prod_i H_i^(xi), with H_i^
   the length-p Fourier transform of variable i's value histogram along
   each axis, taken exactly modulo primes l = 1 (mod p) and recovered by
@@ -24,6 +26,10 @@ encoded below G = q^(2P-1).
   modulus serves every coefficient.  It raises unless the moduli
   multiply past the box size q^(nP) and p (l - 1)^2 < 2^63, so no int64
   sum of p products overflows.
+
+These two are the package's only numpy code, and each function that
+uses numpy imports it in its own body, so ``import quadricpoints`` and
+the closed and circle routes never load it.
 """
 
 from __future__ import annotations
@@ -31,8 +37,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-
-import numpy as np
 
 from .field import FieldCtx, is_prime
 from .forms import QuadForm
@@ -61,17 +65,23 @@ def _check_budget(f: QuadForm, P: int, budget: int) -> None:
         raise BudgetExceeded("count could overflow 64-bit accumulators")
 
 
-def _digits(v, base: int, width: int) -> np.ndarray:
+def _digits(v, base: int, width: int):
     """Little-endian base-``base`` digits of v along a new last axis."""
+    import numpy as np
+
     return v[..., None] // base ** np.arange(width) % base
 
 
-def _undigits(d: np.ndarray, base: int) -> np.ndarray:
+def _undigits(d, base: int):
+    import numpy as np
+
     return d @ base ** np.arange(d.shape[-1])
 
 
-def _fq_mul(ctx: FieldCtx, a, b) -> np.ndarray:
+def _fq_mul(ctx: FieldCtx, a, b):
     """Elementwise product of F_q encoding arrays, ``ctx.mul`` once per distinct pair."""
+    import numpy as np
+
     if ctx.nu == 1:
         return a * b % ctx.p
     keys = np.asarray(a * ctx.q + b)
@@ -80,8 +90,10 @@ def _fq_mul(ctx: FieldCtx, a, b) -> np.ndarray:
     return products[inverse].reshape(keys.shape)
 
 
-def _poly_mul(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _poly_mul(ctx: FieldCtx, A, B):
     """Products over F_q of coefficient arrays (last axis, little endian)."""
+    import numpy as np
+
     da, db = A.shape[-1], B.shape[-1]
     shape = np.broadcast_shapes(A.shape[:-1], B.shape[:-1]) + (da + db - 1, ctx.nu)
     out = np.zeros(shape, dtype=np.int64)
@@ -90,9 +102,11 @@ def _poly_mul(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _undigits(out % ctx.p, ctx.p)
 
 
-def _box_squares(ctx: FieldCtx, P: int) -> np.ndarray:
+def _box_squares(ctx: FieldCtx, P: int):
     """The coefficient encodings (q^P, 2P - 1) of x^2, x the box polynomial
     with encoding equal to the row."""
+    import numpy as np
+
     box = _digits(np.arange(ctx.q**P), ctx.q, P)
     return _poly_mul(ctx, box, box)
 
@@ -109,6 +123,8 @@ def _tuple_sums(tables: list, p: int):
     """Chunks of the encodings of the group sums over every tuple of table
     rows, ``_CHUNK`` tuples at a time, the first table varying fastest; with
     no tables, the one empty tuple sums to 0."""
+    import numpy as np
+
     total = math.prod(len(t) for t in tables)
     size = min(_CHUNK, total)
     steps = np.arange(size)
@@ -130,11 +146,17 @@ def _tuple_sums(tables: list, p: int):
 def brute_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
     """N(P) by exact enumeration of the height box, meeting in the middle.
 
-    The tail histogram ends in one empty bin, into which head sums past
-    the largest tail sum are clipped: the one empty tail tuple of n = 1
-    needs no q^(2P-1) bins.  The budget still charges the q^(nP) tuples
-    the count covers, so no int64 chunk total overflows.
+    Where the tail tuples outnumber the bins up to the largest tail sum
+    (n >= 4: q^(2P) or more tuples, under q^(2P-1) + 1 bins), they are
+    histogrammed, with one empty bin last, into which head sums past the
+    largest tail sum are clipped.  A tail of one variable (n = 2, 3) or
+    none (n = 1) has q^P tuples or one, which could spread over ~q^(2P-1)
+    bins, so the head sums are looked up among the sorted distinct tail
+    sums instead.  The budget still charges the q^(nP) tuples the count
+    covers, so no int64 chunk total overflows.
     """
+    import numpy as np
+
     if P < 0:
         raise ValueError("P must be >= 0")
     _check_budget(f, P, budget)
@@ -143,9 +165,17 @@ def brute_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
     p, split = f.ctx.p, f.n - f.n // 2
     digits = list(map(_box_values(f, P).get, f.coeffs))
     tail = np.concatenate(list(_tuple_sums(digits[split:], p)))
-    hist = np.bincount(tail, minlength=int(tail.max()) + 2)
     head = [-d % p for d in digits[:split]]
-    return sum(int(hist.take(sums, mode="clip").sum()) for sums in _tuple_sums(head, p))
+    bins = int(tail.max()) + 2
+    if bins <= len(tail):
+        hist = np.bincount(tail, minlength=bins)
+        return sum(int(hist.take(sums, mode="clip").sum()) for sums in _tuple_sums(head, p))
+    keys, counts = np.unique(tail, return_counts=True)
+    total = 0
+    for sums in _tuple_sums(head, p):
+        at = keys.searchsorted(sums).clip(max=len(keys) - 1)
+        total += int(counts[at][keys[at] == sums].sum())
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +208,22 @@ def _crt_primes(p: int, bound: int) -> list[int]:
 
 
 @functools.cache
-def _root_powers(l: int, p: int) -> np.ndarray:
+def _root_powers(l: int, p: int):
     """w^0, ..., w^(p-1) mod l, read-only, for w of order p: the first
     g^((l-1)/p) != 1.  Kept per (l, p) for the same reason."""
+    import numpy as np
+
     w = next(w for w in (pow(g, (l - 1) // p, l) for g in range(2, l)) if w != 1)
     powers = np.array([pow(w, e, l) for e in range(p)])
     powers.flags.writeable = False
     return powers
 
 
-def _transform(h: np.ndarray, powers: np.ndarray, l: int) -> np.ndarray:
+def _transform(h, powers, l: int):
     """sum_a w^(xi a) h[:, a, :] mod l for every xi, over the nonzero columns
     a, in blocks of at most ``_CHUNK`` * 64 powers so memory stays O(h.size)."""
+    import numpy as np
+
     p = len(powers)
     support = np.flatnonzero(h.any(axis=(0, 2)))
     out, h = np.empty_like(h), h[:, support]
@@ -198,11 +232,13 @@ def _transform(h: np.ndarray, powers: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
-def _scaled_index(ctx: FieldCtx, u: int, K: int) -> np.ndarray:
+def _scaled_index(ctx: FieldCtx, u: int, K: int):
     """The encodings of M^T xi for xi < p^K, M the multiplication by u on each
     nu-digit block, so that H_(u x^2)^ = H_(x^2)^[index].  M^T acts block by
     block with no carry, so the index is one q-entry table of its action on
     a block, laid out once per block, the last block outermost."""
+    import numpy as np
+
     p, nu, q = ctx.p, ctx.nu, ctx.q
     # (M^T v)_i on a block v is <coordinates of u alpha^i, v>
     rows = np.array([ctx.coeffs(ctx.mul(u, p**i)) for i in range(nu)])
@@ -223,6 +259,8 @@ def convolution_count(f: QuadForm, P: int) -> int:
     nonsquare class to the power of the rest.  Memory is ~q^(2P-1)
     counters, independent of n.
     """
+    import numpy as np
+
     if P < 0:
         raise ValueError("P must be >= 0")
     if P == 0:

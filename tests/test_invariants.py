@@ -118,3 +118,25 @@ def test_library_draws_no_random_numbers():
     """Every algorithm is deterministic, the factor search included, so a
     run's work and answer depend on its input alone."""
     assert [where for where, node in _nodes() if "random" in _absolute_imports(node)] == []
+
+
+def test_only_the_oracles_import_numpy_and_only_inside_functions():
+    """The oracles are the package's only numpy code, and they import it when
+    called, so ``import quadricpoints`` and the closed and circle routes never
+    load it; an import in a class body runs at import time and fails too."""
+    importers, at_import_time = set(), []
+    for path in sorted(ROOT.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_functions = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if "numpy" in _absolute_imports(node):
+                importers.add(path.stem)
+                if id(node) not in in_functions:
+                    at_import_time.append(f"{path.name}:{node.lineno}")
+    assert at_import_time == []
+    assert importers == {"oracle"}

@@ -139,11 +139,15 @@ def test_primitive_oracle_splits_a_plane_one_variable_against_one(F3):
 
 
 @pytest.mark.parametrize(
-    "coeffs, P", [((1, 1, 1), 6), ((1, 1, 2), 6), ((1,) * 7 + (2,), 2)], ids=["n3-squares", "n3-nonsquare", "n8"]
+    "coeffs, P",
+    [((1, 2), 8), ((1, 1, 1), 6), ((1, 1, 2), 6), ((1,) * 7 + (2,), 2)],
+    ids=["n2-nonsquare", "n3-squares", "n3-nonsquare", "n8"],
 )
 def test_primitive_oracle_meets_in_the_middle_in_small_memory(F3, coeffs, P):
     # the derived primitive count holds no more than brute_count does: chunks
-    # of head sums against one tail histogram, never a list of the solutions
+    # of head sums against one tally of tail sums, never a list of the
+    # solutions; at n = 2, P = 8 the 3^8 tail sums are sorted, where a
+    # histogram up to the largest would take ~3^15 bins (113 MiB)
     f = QuadForm(F3, coeffs)
     tracemalloc.start()
     try:
