@@ -13,7 +13,6 @@ from fractions import Fraction
 from quadricpoints import (
     CycInt,
     FieldCtx,
-    LaurentTail,
     Poly,
     QuadForm,
     arc_integral_closed,
@@ -32,9 +31,10 @@ def psi(tail, x):
     return CycInt.root_power(3, tail_char_exponent(tail, x))
 
 
-# psi pairs a tail with a polynomial through the t^-1 coefficient of
-# their product; a single tail entry at index i sees coefficient i-1
-tail = LaurentTail.single(F3, 2, 1)
+# a tail sum(b_i t^-i) is the polynomial sum(b_i s^(i-1)) in s = 1/t;
+# psi pairs it with a polynomial through the t^-1 coefficient of their
+# product, so a single tail entry at index i sees coefficient i-1
+tail = Poly.t_power(F3, 1)  # t^-2: entry 2 is 1
 print("psi(tail, t) =", psi(tail, t))  # reads coefficient 1 of t
 print("psi(tail, 1) =", psi(tail, Poly.one(F3)))  # blind to the constant
 
@@ -42,7 +42,7 @@ print("psi(tail, 1) =", psi(tail, Poly.one(F3)))  # blind to the constant
 # infinity, cut at the depth the integrand reads, plus theta's tail
 r = t + Poly.one(F3)
 alpha = expansion_tail(Poly.one(F3), r, 3) + tail
-print("1/(t+1) + t^-2 has tail", alpha)
+print("1/(t+1) + t^-2 has tail entries b_1..b_3 =", [alpha.coeff(i - 1) for i in range(1, 4)])
 
 # orthogonality: integrating psi(alpha x) over the ball |alpha| < q^-M
 # detects whether deg x < M, scaled by the measure of the ball

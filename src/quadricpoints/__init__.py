@@ -22,7 +22,7 @@ Layers, bottom to top:
 * :mod:`quadricpoints.cli`        - ``quadricpoints`` command-line tool
 """
 
-from .characters import LaurentTail, ball_integral
+from .characters import ball_integral
 from .cyclotomic import CycInt
 from .expsums import (
     arc_integral_closed,
@@ -76,7 +76,6 @@ __all__ = [
     "enumerate_monic",
     "irreducibles",
     "CycInt",
-    "LaurentTail",
     "ball_integral",
     "QuadForm",
     "CaseTag",

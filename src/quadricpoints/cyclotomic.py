@@ -109,7 +109,9 @@ class CycInt:
         return isinstance(other, CycInt) and self.p == other.p and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        # a rational value equals its int, so it hashes as that int
+        value = self.to_int()
+        return hash((self.p, self.coeffs) if value is None else value)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

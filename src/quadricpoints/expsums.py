@@ -18,8 +18,8 @@ gives the sign eps of the closed local factors):
 * ``arc_integral_direct(f, r, P)`` integral of S over the arc ball at a/r
 
 The direct evaluators read every term's character from one tail: alpha =
-a/r + theta is one :class:`~quadricpoints.characters.LaurentTail`, taken
-once per sum, and psi(alpha v) is a dot product of it against v.
+a/r + theta is one polynomial in 1/t (see :mod:`~quadricpoints.characters`),
+taken once per sum, and psi(alpha v) is a dot product of it against v.
 
 On the closed side the totient sums over monic strata are geometric
 series in q, and ``arc_integral_closed`` is one ``phi_power_sum``.
@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .characters import LaurentTail, ball_integral, expansion_tail, tail_char_exponent
+from .characters import ball_integral, expansion_tail, tail_char_exponent
 from .cyclotomic import CycInt
 from .forms import CaseTag, QuadForm, classify
 from .polyring import (
@@ -180,7 +180,7 @@ def phi_power_sum(q: int, M: int, c: int, signed: bool = False) -> Fraction:
 # Weyl sums over the height box and their arc integrals
 
 
-def weyl_sum(f: QuadForm, a: Poly, r: Poly, tail: LaurentTail, P: int) -> CycInt:
+def weyl_sum(f: QuadForm, a: Poly, r: Poly, tail: Poly, P: int) -> CycInt:
     """S(alpha) = sum over x in F_q[t]^n, each |x_i| < q^P, of psi(alpha f(x)),
     at the point alpha = a/r + theta where theta has the given tail.
 
@@ -235,7 +235,7 @@ def arc_integral_direct(f: QuadForm, r: Poly, P: int) -> Fraction:
     one = Poly.one(ctx)
     zero = Poly.zero(ctx)
 
-    def functional(tail: LaurentTail) -> CycInt:
+    def functional(tail: Poly) -> CycInt:
         return weyl_sum(f, zero, one, tail, P)
 
     return ball_integral(ctx, -(rho + P), 2 * P - 1, functional)

@@ -2,7 +2,8 @@
 
 ``brute_count`` counts the coordinate tuples of the height box exactly
 and is the ground truth the rest of the library is validated against;
-it refuses jobs above an evaluation budget of q^(nP).
+it refuses jobs above an evaluation budget of q^(nP), or at n = 1 of
+its q^P (2P-1) nu box table entries.
 ``convolution_count`` is the big-box substitute.  Values live in
 F_q[t]/t^(2P-1): under the base-p digits of the coefficient encodings,
 the group (Z/p)^K, K = (2P-1) nu, added digit by digit, with elements
@@ -55,7 +56,9 @@ class BudgetExceeded(RuntimeError):
 
 
 def _check_budget(f: QuadForm, P: int, budget: int) -> None:
-    total = f.ctx.q ** (f.n * P)
+    # the q^(nP) tuples counted, or at n = 1 the q^P x (2P-1)nu box table entries
+    ctx = f.ctx
+    total = max(ctx.q ** (f.n * P), ctx.q**P * (2 * P - 1) * ctx.nu)
     if total > budget:
         raise BudgetExceeded(
             f"enumeration needs {total} evaluations, budget is {budget}; "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .characters import LaurentTail, ratio_char_exponent
+from .characters import ratio_char_exponent
 from .cyclotomic import CycInt
 from .expsums import (
     arc_integral_closed,
@@ -129,7 +129,7 @@ def suite_weyl(ctx: FieldCtx, n: int = 3, pmax: int = 2) -> list[dict]:
     zero = Poly.zero(ctx)
     one = Poly.one(ctx)
     for P in range(1, pmax + 1):
-        s_theta_cache: dict[LaurentTail, CycInt] = {}
+        s_theta_cache: dict[Poly, CycInt] = {}
         for rho in range(1, P + 1):
             for r in enumerate_monic(ctx, rho):
                 complete = {
@@ -137,17 +137,17 @@ def suite_weyl(ctx: FieldCtx, n: int = 3, pmax: int = 2) -> list[dict]:
                     for a in enumerate_below(ctx, rho)
                     if poly_gcd(a, r).is_one()
                 }
-                tails = [LaurentTail.zero(ctx)]
+                tails = [zero]
                 if rho + P + 1 <= 2 * P - 1:
-                    tails.append(LaurentTail.single(ctx, rho + P + 1, 1))
-                tails.append(LaurentTail.single(ctx, 2 * P, 2))  # beyond S's depth
+                    tails.append(Poly.t_power(ctx, rho + P))
+                tails.append(Poly.t_power(ctx, 2 * P - 1).scale(2))  # beyond S's depth
                 for tail in tails:
                     if tail not in s_theta_cache:
                         s_theta_cache[tail] = weyl_sum(f, zero, one, tail, P)
                     s_theta = s_theta_cache[tail]
                     for a, s_ar in complete.items():
                         lhs = weyl_sum(f, a, r, tail, P) * (ctx.q ** (n * rho))
-                        rid = f"weyl[a={a},r={r},P={P},tail@{tail.min_index()}]"
+                        rid = f"weyl[a={a},r={r},P={P},tail@{tail.deg + 1}]"
                         out.append(_record(rid, lhs=lhs, rhs=s_ar * s_theta))
     return out
 

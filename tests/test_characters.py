@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadricpoints import CycInt, FieldCtx, LaurentTail, Poly, ball_integral
+from quadricpoints import CycInt, FieldCtx, Poly, ball_integral
 from quadricpoints.characters import (
     expansion_tail,
     ratio_char_exponent,
@@ -18,7 +18,7 @@ from quadricpoints.polyring import enumerate_below
 FIELDS = {3: FieldCtx(3), 5: FieldCtx(5), 9: FieldCtx(3, 2)}
 
 
-def psi(tail: LaurentTail, v: Poly) -> CycInt:
+def psi(tail: Poly, v: Poly) -> CycInt:
     return CycInt.root_power(tail.ctx.p, tail_char_exponent(tail, v))
 
 
@@ -34,14 +34,14 @@ def coefficient_by_division(x: Poly, r: Poly, i: int) -> int:
 def test_laurent_coefficients_hand_expansions(F3):
     t = Poly.gen(F3)
     x = Poly(F3, [2, 1])  # t + 2
-    # (t + 2)/t = 1 + 2 t^-1
-    assert expansion_tail(x, t, 2) == LaurentTail(F3, {1: 2})
+    # tail entry i is coefficient i - 1: (t + 2)/t = 1 + 2 t^-1
+    assert expansion_tail(x, t, 2) == Poly(F3, [2])
     # (t + 2)/t^2 = t^-1 + 2 t^-2
-    assert expansion_tail(x, t * t, 2) == LaurentTail(F3, {1: 1, 2: 2})
+    assert expansion_tail(x, t * t, 2) == Poly(F3, [1, 2])
     # 1/(t + 1) = t^-1 - t^-2 + t^-3 - ... (alternating signs)
     one = Poly.one(F3)
     tail = expansion_tail(one, t + one, 4)
-    assert [tail.entry(j) for j in range(1, 5)] == [1, 2, 1, 2]
+    assert tail.coeffs == (1, 2, 1, 2)
     # a polynomial has no tail, and depth 0 reads nothing
     assert expansion_tail(t * (t + one), t + one, 3).is_zero()
     assert expansion_tail(one, t + one, 0).is_zero()
@@ -55,8 +55,8 @@ def test_expansion_tail_matches_coefficients(F3):
     r = t * t + t + Poly.one(F3)
     tail = expansion_tail(x, r, 5)
     for j in range(1, 6):
-        assert tail.entry(j) == coefficient_by_division(x, r, j)
-    assert tail.depth <= 5
+        assert tail.coeff(j - 1) == coefficient_by_division(x, r, j)
+    assert tail.deg < 5
 
 
 def test_psi_ratio_is_additive_character(F3):
@@ -97,40 +97,7 @@ def test_tail_character_equals_ratio_character(case):
 def test_expansion_tail_matches_per_index_division(case):
     x, r, _, depth = case
     tail = expansion_tail(x, r, depth)
-    assert tail.entries == {
-        i: b for i in range(1, depth + 1) if (b := coefficient_by_division(x, r, i))
-    }
-
-
-@st.composite
-def tail_pairs(draw):
-    ctx = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-    entries = st.dictionaries(st.integers(1, 6), st.integers(0, ctx.q - 1), max_size=6)
-    return LaurentTail(ctx, draw(entries)), LaurentTail(ctx, draw(entries))
-
-
-@given(tail_pairs())
-def test_tail_addition_is_entrywise_and_commutative(pair):
-    s, u = pair
-    ctx = s.ctx
-    total = s + u
-    assert total == u + s
-    for i in range(1, 8):
-        assert total.entry(i) == ctx.add(s.entry(i), u.entry(i))
-    assert s + LaurentTail.zero(ctx) == s
-    with pytest.raises(ValueError):
-        s + LaurentTail.zero(FieldCtx(7))
-
-
-def test_tail_container_semantics(F3):
-    zero = LaurentTail.zero(F3)
-    assert zero.is_zero() and zero.depth == 0 and zero.min_index() == 0
-    s = LaurentTail.single(F3, 3, 2)
-    assert s.entry(3) == 2 and s.entry(1) == 0
-    assert s.depth == 3 and s.min_index() == 3
-    assert s == LaurentTail.single(F3, 3, 2)
-    assert hash(s) == hash(LaurentTail.single(F3, 3, 2))
-    assert s != zero
+    assert tail == Poly(x.ctx, [coefficient_by_division(x, r, i) for i in range(1, depth + 1)])
 
 
 def test_tails_supported_enumeration(F3):
@@ -138,13 +105,15 @@ def test_tails_supported_enumeration(F3):
     assert len(tails) == 9  # q^2 tails on the two indices 2..3
     assert len(set(tails)) == 9
     for tail in tails:
-        assert tail.is_zero() or tail.min_index() >= 2
-        assert tail.depth <= 3
+        # entries 2..3 are coefficients 1..2
+        assert tail.coeff(0) == 0 and tail.deg <= 2
+    with pytest.raises(ValueError, match="start at 1"):
+        next(tails_supported(F3, 0, 2))
 
 
 def test_psi_tail_reads_dot_product(F3):
     # psi(alpha v) pairs tail entry i with coefficient i-1 of v
-    tail = LaurentTail.single(F3, 2, 1)
+    tail = Poly.t_power(F3, 1)  # t^-2
     v = Poly(F3, [0, 2])  # 2t; coefficient 1 is 2
     assert psi(tail, v) == CycInt.root_power(3, 2)
     assert psi(tail, Poly.one(F3)) == CycInt.from_int(3, 1)

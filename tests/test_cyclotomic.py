@@ -82,6 +82,13 @@ def test_hash_consistency():
     assert seen[CycInt.root_power(3, 1)] == "a"
 
 
+def test_rational_values_hash_as_their_int():
+    # equality with an int must carry over to sets and dict lookups
+    assert len({CycInt.from_int(5, 4), 4}) == 1
+    assert {4: "x"}.get(CycInt.from_int(5, 4)) == "x"
+    assert {CycInt.from_int(3, -2): "y"}[-2] == "y"
+
+
 def test_mismatched_roots_rejected():
     with pytest.raises(ValueError):
         CycInt.from_int(3, 1) + CycInt.from_int(5, 1)

@@ -37,6 +37,9 @@ JOBS = [
     ["count", "--p", "3", "--coeffs", "1,1,1,1,1,1", "--P", "3", "--method", "brute", "--budget", "1000"],
     ["verify", "gauss", "--q", "9", "--maxdeg", "1", "--maxk", "2"],
     ["verify", "mor", "--p", "3", "--nmax", "4", "--pmax", "2"],
+    ["verify", "weyl", "--p", "3", "--n", "2", "--pmax", "2"],
+    ["verify", "weyl", "--q", "9", "--n", "2", "--pmax", "1"],
+    ["verify", "arcs", "--p", "3", "--nmax", "3", "--pmax", "2"],
 ]
 
 

@@ -4,6 +4,7 @@ import collections
 import functools
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -181,6 +182,16 @@ def test_budget_refusal(F3):
         with pytest.raises(BudgetExceeded) as excinfo:
             derived_counts(f, P, budget=1000)
         assert f"needs {3 ** (6 * (P + 1))} evaluations" in str(excinfo.value)
+
+
+def test_budget_charges_the_one_variable_box_table(F3):
+    # at n = 1 the q^P x (2P - 1) digit table outgrows the q^P tuples counted
+    f = QuadForm(F3, (1,))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="needs 129140163 evaluations"):
+        brute_count(f, 14)  # 3^14 * 27 entries, past the default budget
+    assert time.perf_counter() - start < 1
+    assert brute_count(f, 11) == 1
 
 
 def test_convolution_state_cap(F5):

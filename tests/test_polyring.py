@@ -19,6 +19,7 @@ from quadricpoints import (
     poly_from_encoding,
     poly_gcd,
 )
+from quadricpoints.characters import expansion_tail
 from quadricpoints.polyring import is_irreducible
 
 FIELDS = {3: FieldCtx(3), 5: FieldCtx(5), 7: FieldCtx(7), 9: FieldCtx(3, 2)}
@@ -61,6 +62,17 @@ def test_arithmetic_identities(F3, F9):
                 quo, rem = divmod(a, b)
                 assert quo * b + rem == a
                 assert rem.is_zero() or rem.deg < b.deg
+
+
+def test_mixed_fields_are_refused(F3):
+    F7 = FIELDS[7]
+    a, b = Poly(F3, [1, 2, 1]), Poly(F7, [3, 1])
+    for op in (lambda: a + b, lambda: a * b, lambda: divmod(a, b), lambda: divmod(b, a)):
+        with pytest.raises(ValueError, match="mixed coefficient fields"):
+            op()
+    # a tail is a polynomial in 1/t, so two tails over different fields do not add
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        expansion_tail(Poly.one(F3), Poly.gen(F3), 2) + Poly.t_power(F7, 1)
 
 
 def test_gcd_is_monic_and_divides(F3):
