@@ -31,8 +31,6 @@ a = F9.from_coeffs([2, 1])
 print("element 2 + u is encoded as", a)
 print("its square encodes", F9.mul(a, a), "=", F9.coeffs(F9.mul(a, a)))
 
-# the absolute trace down to F_3 is additive and hits every value
+# the absolute trace down to F_3 is additive and hits every value; it is
+# the exponent of the additive character: psi(x) = zeta_p ** trace(x)
 print("traces of all nine elements:", [F9.trace(x) for x in F9.elements()])
-
-# char_exponent feeds additive characters: psi(x) = zeta_p ** char_exponent(x)
-print("character exponents:", [F9.char_exponent(x) for x in F9.elements()])

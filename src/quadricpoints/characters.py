@@ -41,7 +41,7 @@ def expansion_tail(x: Poly, r: Poly, depth: int) -> Poly:
 
 def ratio_char_exponent(x: Poly, r: Poly) -> int:
     """Exponent k with psi(x/r) = zeta_p^k, i.e. Tr of the t^(-1) coefficient."""
-    return x.ctx.char_exponent(expansion_tail(x, r, 1).coeff(0))
+    return x.ctx.trace(expansion_tail(x, r, 1).coeff(0))
 
 
 def tail_char_exponent(tail: Poly, v: Poly) -> int:
@@ -54,7 +54,7 @@ def tail_char_exponent(tail: Poly, v: Poly) -> int:
     acc = 0
     for b, c in zip(tail.coeffs, v.coeffs):
         acc = ctx.add(acc, ctx.mul(b, c))
-    return ctx.char_exponent(acc)
+    return ctx.trace(acc)
 
 
 def tails_supported(ctx: FieldCtx, lo: int, hi: int):

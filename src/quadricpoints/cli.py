@@ -93,27 +93,21 @@ def _build_ctx(args) -> FieldCtx:
     modulus = None
     if args.modulus:
         modulus = [int(c) for c in args.modulus.split(",")]
-    try:
-        return FieldCtx(args.p, 1 if args.nu is None else args.nu, modulus)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    return FieldCtx(args.p, 1 if args.nu is None else args.nu, modulus)
 
 
 def _build_form(ctx: FieldCtx, args) -> QuadForm:
     if args.coeffs and args.gram:
         raise UsageError("give either --coeffs or --gram, not both")
-    try:
-        if args.coeffs:
-            coeffs = [_parse_element(ctx, tok) for tok in _split_elements(args.coeffs)]
-            return QuadForm(ctx, tuple(coeffs))
-        if args.gram:
-            rows = [
-                [_parse_element(ctx, tok) for tok in _split_elements(row)]
-                for row in args.gram.split(";")
-            ]
-            return diagonalize(ctx, rows)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    if args.coeffs:
+        coeffs = [_parse_element(ctx, tok) for tok in _split_elements(args.coeffs)]
+        return QuadForm(ctx, tuple(coeffs))
+    if args.gram:
+        rows = [
+            [_parse_element(ctx, tok) for tok in _split_elements(row)]
+            for row in args.gram.split(";")
+        ]
+        return diagonalize(ctx, rows)
     raise UsageError("a form is required: --coeffs or --gram")
 
 

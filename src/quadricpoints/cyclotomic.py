@@ -10,6 +10,8 @@ CycInt totals reduce to rational integers (``to_int``) over a power of q.
 
 from __future__ import annotations
 
+from .field import power
+
 
 class CycInt:
     __slots__ = ("p", "coeffs")
@@ -31,13 +33,8 @@ class CycInt:
 
     @classmethod
     def root_power(cls, p: int, k: int) -> "CycInt":
-        """zeta_p^k; k is taken mod p, and zeta^(p-1) lands in the basis span."""
-        k %= p
-        if k < p - 1:
-            cs = [0] * (p - 1)
-            cs[k] = 1
-            return cls(p, cs)
-        return cls(p, (-1,) * (p - 1))
+        """zeta_p^k; k is taken mod p."""
+        return cls.from_exponent_counts(p, [int(i == k % p) for i in range(p)])
 
     @classmethod
     def from_exponent_counts(cls, p: int, counts) -> "CycInt":
@@ -94,14 +91,7 @@ class CycInt:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers leave Z[zeta_p]")
-        out = CycInt.from_int(self.p, 1)
-        base = self
-        while e > 0:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, CycInt.from_int(self.p, 1))
 
     def __eq__(self, other):
         if isinstance(other, int):

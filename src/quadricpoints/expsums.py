@@ -53,17 +53,22 @@ def _require_monic(r: Poly) -> None:
         raise ValueError("modulus must be monic")
 
 
+def _char_sum(alpha: Poly, values) -> CycInt:
+    """sum of psi(alpha v) over the values v, for the point alpha given by its tail."""
+    p = alpha.ctx.p
+    counts = [0] * p
+    for v in values:
+        counts[tail_char_exponent(alpha, v)] += 1
+    return CycInt.from_exponent_counts(p, counts)
+
+
 def twisted_gauss_sum(a: Poly, r: Poly) -> CycInt:
     """sum over |x| < |r| of psi(a x^2 / r);  a need not be coprime to r."""
     _require_monic(r)
-    ctx = r.ctx
     rho = len(r.coeffs) - 1
     # deg x^2 <= 2 rho - 2, so psi(a x^2 / r) reads tail indices <= 2 rho - 1
     alpha = expansion_tail(a, r, max(2 * rho - 1, 0))
-    counts = [0] * ctx.p
-    for x in enumerate_below(ctx, rho):
-        counts[tail_char_exponent(alpha, x * x)] += 1
-    return CycInt.from_exponent_counts(ctx.p, counts)
+    return _char_sum(alpha, (x * x for x in enumerate_below(r.ctx, rho)))
 
 
 def gauss_sum(r: Poly) -> CycInt:
@@ -192,31 +197,20 @@ def weyl_sum(f: QuadForm, a: Poly, r: Poly, tail: Poly, P: int) -> CycInt:
     if P < 1:
         raise ValueError("the box exponent P must be >= 1")
     ctx = f.ctx
-    p = ctx.p
     xs = list(enumerate_below(ctx, P))
     values = [[(x * x).scale(ai) for x in xs] for ai in f.coeffs]
     alpha = tail + expansion_tail(a, r, 2 * P - 1)
-    n = f.n
-    counts = [0] * p
-    idx = [0] * n
-    partial = [Poly.zero(ctx)] * (n + 1)
-    k = 0
-    size = len(xs)
-    while True:
-        while k < n:
-            partial[k + 1] = partial[k] + values[k][idx[k]]
-            k += 1
-        counts[tail_char_exponent(alpha, partial[n])] += 1
-        k = n - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < size:
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            break
-    return CycInt.from_exponent_counts(p, counts)
+
+    def sums(k):
+        """f(x) over the box in the first k coordinates, each partial sum formed once."""
+        if k == 0:
+            yield Poly.zero(ctx)
+            return
+        for s in sums(k - 1):
+            for v in values[k - 1]:
+                yield s + v
+
+    return _char_sum(alpha, sums(f.n))
 
 
 def arc_integral_direct(f: QuadForm, r: Poly, P: int) -> Fraction:

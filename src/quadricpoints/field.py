@@ -14,6 +14,8 @@ relies on for canonical output.
 
 from __future__ import annotations
 
+import operator
+
 _TABLE_LIMIT = 512  # full q-by-q tables only below this
 
 
@@ -32,6 +34,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def power(x, e: int, one, mul=operator.mul):
+    """x**e for e >= 0 by square-and-multiply from ``one``, multiplying with ``mul``."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
 class FieldCtx:
     """The field F_q together with its element encoding.
 
@@ -42,7 +58,8 @@ class FieldCtx:
     modulus : optional coefficient tuple (little-endian, length nu+1,
         monic) of an irreducible degree-nu polynomial over F_p.  When
         omitted the lexicographically smallest such polynomial is chosen,
-        so a (p, nu) pair always names the same field model.
+        so a (p, nu) pair always names the same field model; at nu = 1
+        every modulus gives F_p, stored as (0, 1).
     """
 
     __slots__ = ("p", "nu", "q", "modulus", "_mul")
@@ -62,8 +79,7 @@ class FieldCtx:
             if len(modulus) != nu + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree nu")
         if nu == 1:
-            # degree 1 is always irreducible, and a search over F_p[u] would recurse
-            self.modulus = modulus or (0, 1)
+            self.modulus = (0, 1)  # arithmetic is mod p whichever u - c was named
         else:
             from . import polyring  # here, not at the top: polyring imports FieldCtx
 
@@ -172,14 +188,7 @@ class FieldCtx:
             return self.pow(self.inv(a), -e)
         if self.nu == 1:
             return pow(a, e, self.p)
-        result = 1
-        base = a
-        while e > 0:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(a, e, 1, self.mul)
 
     # -- structure maps -----------------------------------------------------
 
@@ -200,10 +209,6 @@ class FieldCtx:
         if acc >= self.p:
             raise RuntimeError("trace left the prime field")
         return acc
-
-    def char_exponent(self, a: int) -> int:
-        """Exponent k such that the additive character sends a to zeta_p^k."""
-        return self.trace(a)
 
     def is_square_unit(self, a: int) -> bool:
         """Whether a is a nonzero square; membership test in (F_q^x)^2."""

@@ -84,8 +84,6 @@ def count_circle(f: QuadForm, P: int) -> int:
     total = Fraction(0)
     for rho in range(P + 1):
         arc = arc_integral_closed(f, Poly.t_power(ctx, rho), P)
-        if arc == 0:
-            continue
         s_layer = sum(local_factor_closed(f, r) for r in enumerate_monic(ctx, rho))
         total += Fraction(s_layer, q ** (n * rho)) * arc
     return _as_int(total, "N(P) from the circle decomposition")

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 
 from .field import FieldCtx, is_prime
 from .forms import QuadForm
@@ -186,28 +185,18 @@ def brute_count(f: QuadForm, P: int, budget: int = DEFAULT_BUDGET) -> int:
 
 
 @functools.cache
-def _crt_search(p: int) -> tuple[list[int], Iterator[int]]:
-    """The primes l = 1 (mod p), largest first under p (l - 1)^2 < 2^63: those
-    found so far, and the search that finds the rest.  Kept per p, so a
-    process that calls ``convolution_count`` again runs no test twice."""
-    ks = range(math.isqrt((2**63 - 1) // p) // p, 0, -1)
-    return [], (k * p + 1 for k in ks if is_prime(k * p + 1))
-
-
-def _crt_primes(p: int, bound: int) -> list[int]:
+def _crt_primes(p: int, bound: int) -> tuple[int, ...]:
     """Primes l = 1 (mod p), largest first under p (l - 1)^2 < 2^63, until
-    their product exceeds bound."""
-    found, search = _crt_search(p)
-    count, product = 0, 1
-    while product <= bound:
-        if count == len(found):
-            l = next(search, None)
-            if l is None:
-                break
-            found.append(l)
-        product *= found[count]
-        count += 1
-    return found[:count]
+    their product exceeds bound.  Kept per (p, bound), so a process that
+    calls ``convolution_count`` again runs no test twice."""
+    found, product = [], 1
+    for k in range(math.isqrt((2**63 - 1) // p) // p, 0, -1):
+        if product > bound:
+            break
+        if is_prime(k * p + 1):
+            found.append(k * p + 1)
+            product *= k * p + 1
+    return tuple(found)
 
 
 @functools.cache

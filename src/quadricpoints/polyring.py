@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import FieldCtx
+from .field import FieldCtx, power
 
 
 class Poly:
@@ -154,17 +154,14 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def __pow__(self, e: int) -> "Poly":
+    def __pow__(self, e: int, mod: "Poly | None" = None) -> "Poly":
+        """self**e, or with ``pow(self, e, mod)`` self**e % mod reduced at every step."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.ctx)
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        one = Poly.one(self.ctx)
+        if mod is None:
+            return power(self, e, one)
+        return power(self % mod, e, one % mod, lambda x, y: x * y % mod)
 
     def monic(self) -> "Poly":
         """The monic associate self / lead(self)."""
@@ -225,7 +222,7 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# gcd and modular powers
+# gcd
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -235,17 +232,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.one(base.ctx)
-    b = base % mod
-    while e > 0:
-        if e & 1:
-            result = (result * b) % mod
-        b = (b * b) % mod
-        e >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +277,7 @@ def _equal_degree_split(f: Poly, d: int) -> Poly:
             continue
         g = poly_gcd(a, f)
         if g.is_one():
-            g = poly_gcd(_powmod(a, exponent, f) - Poly.one(ctx), f)  # gcd(0, f) = f
+            g = poly_gcd(pow(a, exponent, f) - Poly.one(ctx), f)  # gcd(0, f) = f
         if 0 < g.deg < f.deg:
             return _equal_degree_split(g, d)
     raise RuntimeError("no polynomial below the degree split an equal-degree product")
@@ -313,7 +299,7 @@ def _one_irreducible_factor(f: Poly) -> Poly:
     d = 0
     while True:
         d += 1
-        h = _powmod(h, ctx.q, w)
+        h = pow(h, ctx.q, w)
         g_d = poly_gcd(h - t, w)
         if g_d.deg >= 1:
             return _equal_degree_split(g_d, d)
@@ -395,10 +381,10 @@ def _legendre(a: Poly, pi: Poly) -> int:
     if a.is_zero():
         return 0
     d = len(pi.coeffs) - 1
-    power = _powmod(a, (ctx.q**d - 1) // 2, pi)
-    if power.is_one():
+    euler = pow(a, (ctx.q**d - 1) // 2, pi)
+    if euler.is_one():
         return 1
-    if power == Poly.constant(ctx, ctx.neg(1)):
+    if euler == Poly.constant(ctx, ctx.neg(1)):
         return -1
     raise RuntimeError("Euler criterion computed a non-sign value")
 

@@ -270,6 +270,12 @@ def test_byte_determinism_across_runs_and_jobs(capsys):
         assert docs[0] == docs[1] == docs[2]
 
 
+def test_prime_field_modulus_is_the_one_model(capsys):
+    code, out, _ = run(capsys, "count", "--p", "3", "--modulus", "2,1", "--coeffs", "1,1,1", "--P", "1")
+    assert code == 0
+    assert json.loads(out)["spec"]["modulus"] == [0, 1]
+
+
 def test_q_flag_extension_field(capsys):
     code, out, _ = run(
         capsys, "count", "--q", "9", "--coeffs", "1,1,1", "--P", "1", "--emit", "csv"

@@ -15,6 +15,7 @@ from quadricpoints import (
     arc_integral_direct,
     classify,
     enumerate_below,
+    enumerate_monic,
     form_exp_sum,
     gauss_sum,
     gauss_sum_prime_power,
@@ -178,6 +179,16 @@ def test_weyl_factorization_instance(F3):
                 lhs = weyl_sum(f, a, r, tail, P) * (3 ** (f.n * r.deg))
                 rhs = form_exp_sum(f, a, r) * s_theta
                 assert lhs == rhs
+
+
+def test_one_variable_weyl_sum_over_the_residues_is_the_twisted_gauss_sum(F3, F5, F9):
+    # at P = deg r and zero tail the box is the residues mod r and f(x) = x^2
+    for ctx in (F3, F5, F9):
+        f, zero = QuadForm(ctx, (1,)), Poly.zero(ctx)
+        for d in (1, 2):
+            for r in enumerate_monic(ctx, d):
+                for a in enumerate_below(ctx, d):
+                    assert weyl_sum(f, a, r, zero, d) == twisted_gauss_sum(a, r), (ctx, a, r)
 
 
 def test_arc_integral_hand_values(F3):

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from quadricpoints import FieldCtx
-from quadricpoints.field import is_prime
+from quadricpoints import FieldCtx, Poly
+from quadricpoints.field import is_prime, power
 
 
 def test_prime_field_basics(F3):
@@ -111,9 +111,9 @@ def test_trace_is_additive_and_surjective(F9):
         assert sum(1 for a in F9.elements() if F9.trace(a) == target) == 3
 
 
-def test_char_exponent_prime_field(F5):
+def test_trace_is_identity_on_prime_field(F5):
     for a in F5.elements():
-        assert F5.char_exponent(a) == a
+        assert F5.trace(a) == a
 
 
 def test_squares_split_units_in_half(F3, F5, F9):
@@ -131,6 +131,25 @@ def test_is_square_unit_rejects_zero(F3):
 def test_negative_exponent_pow(F5):
     assert F5.pow(2, -1) == F5.inv(2)
     assert F5.pow(3, -2) == F5.inv(F5.mul(3, 3))
+
+
+def test_power_is_repeated_multiplication(F9):
+    assert power("x", 0, "one") == "one"  # e = 0 never calls mul
+    for e in range(40):
+        assert power(7, e, 1) == 7**e
+        assert power(5, e, 1, F9.mul) == F9.pow(5, e)
+    with pytest.raises(ValueError):
+        power(7, -1, 1)
+
+
+def test_prime_field_has_one_model():
+    # nu = 1 arithmetic is mod p whatever degree-1 modulus is named
+    F3, shifted = FieldCtx(3), FieldCtx(3, 1, (2, 1))
+    assert shifted == F3 and hash(shifted) == hash(F3)
+    assert shifted.modulus == (0, 1)
+    assert Poly.one(F3) + Poly.one(shifted) == Poly.constant(F3, 2)
+    with pytest.raises(ValueError, match="monic of degree nu"):
+        FieldCtx(3, 1, (1, 2))
 
 
 def test_larger_extension_f25():

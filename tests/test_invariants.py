@@ -140,3 +140,18 @@ def test_only_the_oracles_import_numpy_and_only_inside_functions():
                     at_import_time.append(f"{path.name}:{node.lineno}")
     assert at_import_time == []
     assert importers == {"oracle"}
+
+
+def test_one_exponentiation_loop():
+    """Square-and-multiply is written once, as ``field.power``; every other
+    power in the package (F_q, F_q[t] with or without a modulus, Z[zeta_p])
+    calls it, so a halving step ``e >>= 1`` appears nowhere else."""
+
+    def is_halving(node):
+        return isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift)
+
+    field = ast.parse((ROOT / "field.py").read_text())
+    power = next(n for n in ast.walk(field) if isinstance(n, ast.FunctionDef) and n.name == "power")
+    in_power = [f"field.py:{node.lineno}" for node in ast.walk(power) if is_halving(node)]
+    assert len(in_power) == 1
+    assert [where for where, node in _nodes() if is_halving(node)] == in_power

@@ -75,6 +75,21 @@ def test_mixed_fields_are_refused(F3):
         expansion_tail(Poly.one(F3), Poly.gen(F3), 2) + Poly.t_power(F7, 1)
 
 
+def test_pow_with_modulus_reduces_the_power():
+    rng = random.Random(11)
+    for ctx in (FIELDS[3], FIELDS[9]):
+        for d in (1, 2, 3):
+            m = Poly(ctx, [rng.randrange(ctx.q) for _ in range(d)] + [rng.randrange(1, ctx.q)])
+            for _ in range(4):
+                a = _random_poly(ctx, rng, 4)
+                for e in (0, 1, 2, 5, 13):
+                    assert pow(a, e, m) == a**e % m, (a, e, m)
+        # e = 0 gives 1 % m, as for ints
+        assert pow(Poly.gen(ctx), 0, Poly.one(ctx)).is_zero()
+    with pytest.raises(ValueError):
+        pow(Poly.gen(ctx), -1, Poly.gen(ctx) + Poly.one(ctx))
+
+
 def test_gcd_is_monic_and_divides(F3):
     t = Poly.gen(F3)
     one = Poly.one(F3)
