@@ -138,8 +138,6 @@ def local_factor_closed(f: QuadForm, r: Poly) -> int:
     Odd n:   phi(r) * |r|^(n/2) when r is a square, else 0.
     """
     _require_monic(r)
-    if r.is_one():
-        return 1
     fac = factorize(r)
     rho = len(r.coeffs) - 1
     size = euler_phi(r, fac) * f.ctx.q ** (rho * f.n // 2)  # odd n keeps it only at even rho

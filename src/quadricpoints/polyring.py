@@ -70,9 +70,6 @@ class Poly:
     def is_one(self) -> bool:
         return self.coeffs == (1,)
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     @property
     def lead(self) -> int:
         if not self.coeffs:
@@ -261,62 +258,72 @@ def _pth_root(f: Poly) -> Poly:
     return Poly(ctx, out)
 
 
-def _equal_degree_split(f: Poly, d: int) -> Poly:
-    """One irreducible factor of f, where f is squarefree with all factors of degree d.
+def _distinct_degree_parts(w: Poly):
+    """Yield (g_d, d), lowest d first, g_d the product of the degree-d factors of w.
 
-    Tries gcd(a, f), then gcd(a^((q^d - 1)/2) - 1, f), for a of degree 1
-    to deg f - 1 in encoding order; some a is divisible by one factor of
-    f and not by another, so the search ends whenever f is reducible.
+    w is monic and squarefree.  Each nontrivial g_d = gcd(t^(q^d) - t, w) is
+    divided out of w; once 2(d + 1) > deg w, a nonconstant rest is irreducible.
     """
-    if f.deg == d:
-        return f
-    ctx = f.ctx
+    t = Poly.gen(w.ctx)
+    h = t % w
+    d = 0
+    while 2 * (d + 1) <= w.deg:
+        d += 1
+        h = pow(h, w.ctx.q, w)
+        g_d = poly_gcd(h - t, w)
+        if g_d.deg >= 1:
+            yield g_d, d
+            w = w // g_d
+            h = h % w
+    if w.deg >= 1:
+        yield w, w.deg
+
+
+def _equal_degree_factors(g: Poly, d: int) -> list:
+    """The irreducible factors of g, monic squarefree with all factors of degree d.
+
+    Splits by gcd(a, g), then gcd(a^((q^d - 1)/2) - 1, g), at the first a of
+    degree 1 to deg g - 1 in encoding order that splits; some a is divisible
+    by one factor of g and not by another, so some a splits a reducible g.
+    """
+    if g.deg == d:
+        return [g]
+    ctx = g.ctx
     exponent = (ctx.q**d - 1) // 2
-    for a in enumerate_below(ctx, f.deg):
+    for a in enumerate_below(ctx, g.deg):
         if a.deg < 1:
             continue
-        g = poly_gcd(a, f)
-        if g.is_one():
-            g = poly_gcd(pow(a, exponent, f) - Poly.one(ctx), f)  # gcd(0, f) = f
-        if 0 < g.deg < f.deg:
-            return _equal_degree_split(g, d)
+        s = poly_gcd(a, g)
+        if s.is_one():
+            s = poly_gcd(pow(a, exponent, g) - Poly.one(ctx), g)  # gcd(0, g) = g
+        if 0 < s.deg < g.deg:
+            return _equal_degree_factors(s, d) + _equal_degree_factors(g // s, d)
     raise RuntimeError("no polynomial below the degree split an equal-degree product")
 
 
-def _one_irreducible_factor(f: Poly) -> Poly:
-    """Some monic irreducible factor of monic f, deg f >= 1."""
-    ctx = f.ctx
+def _add_factors(f: Poly, k: int, counts: dict) -> None:
+    """Add k times its multiplicity in monic f to the count of each irreducible factor."""
+    if f.deg < 1:
+        return
     deriv = f.derivative()
-    if deriv.is_zero():
-        # f = g(t)^p for the p-th root g; recurse on it
-        return _one_irreducible_factor(_pth_root(f))
-    w = f // poly_gcd(f, deriv)  # squarefree; nonconstant since deriv != 0
-    if w.deg < 1:
-        raise RuntimeError("squarefree part of a nonconstant polynomial is constant")
-    # distinct-degree scan on w
-    t = Poly.gen(ctx)
-    h = t % w
-    d = 0
-    while True:
-        d += 1
-        h = pow(h, ctx.q, w)
-        g_d = poly_gcd(h - t, w)
-        if g_d.deg >= 1:
-            return _equal_degree_split(g_d, d)
-        if 2 * (d + 1) > w.deg:
-            # no factor of degree <= d, so w itself is irreducible
-            return w
+    if deriv.is_zero():  # f = h(t)^p for the p-th root h
+        return _add_factors(_pth_root(f), k * f.ctx.p, counts)
+    g = poly_gcd(f, deriv)
+    # f / g is squarefree: the factors whose multiplicity p does not divide
+    for part, d in _distinct_degree_parts(f // g):
+        for pi in _equal_degree_factors(part, d):
+            counts[pi] = counts.get(pi, 0) + k
+    _add_factors(g, k, counts)
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Whether f is irreducible: its first irreducible factor is f itself.
+    """Whether f is irreducible: squarefree, and its first distinct-degree part has d = deg f.
 
     Constants and the zero polynomial fail.
     """
-    if f.deg < 1:
+    if f.deg < 1 or not poly_gcd(f, f.derivative()).is_one():
         return False
-    f = f.monic()
-    return _one_irreducible_factor(f) == f
+    return next(_distinct_degree_parts(f.monic()))[1] == f.deg
 
 
 def factorize(f: Poly) -> Factorization:
@@ -328,23 +335,10 @@ def factorize(f: Poly) -> Factorization:
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    unit = f.lead
-    rest = f.monic()
     counts: dict[Poly, int] = {}
-    while not rest.is_constant():
-        pi = _one_irreducible_factor(rest)
-        k = 0
-        while True:
-            quot, rem = divmod(rest, pi)
-            if not rem.is_zero():
-                break
-            rest = quot
-            k += 1
-        counts[pi] = counts.get(pi, 0) + k
-    factors = tuple(
-        sorted(counts.items(), key=lambda it: (len(it[0].coeffs), it[0].encoding()))
-    )
-    return Factorization(unit=unit, factors=factors)
+    _add_factors(f.monic(), 1, counts)
+    factors = tuple(sorted(counts.items(), key=lambda it: (it[0].deg, it[0].encoding())))
+    return Factorization(unit=f.lead, factors=factors)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,49 @@ def test_factorize_matches_sympy(f):
     assert sorted((pi.coeffs, k) for pi, k in fac.factors) == theirs
 
 
+def _trial_division_factors(f, irreducibles_by_degree):
+    """(pi, k) for the monic irreducible factors pi of f, in canonical order.
+
+    Divides out each irreducible of degree <= deg(rest)/2 in canonical order.
+    """
+    rest, out = f.monic(), []
+    for d in range(1, rest.deg // 2 + 1):
+        for pi in irreducibles_by_degree[d]:
+            if 2 * d > rest.deg:
+                break
+            k = 0
+            while (rest % pi).is_zero():
+                rest, k = rest // pi, k + 1
+            if k:
+                out.append((pi, k))
+    if rest.deg >= 1:  # no factor of degree <= deg(rest)/2 is left
+        out.append((rest, 1))
+    return out
+
+
+def _sieved_irreducibles(ctx, maxdeg):
+    """Monic irreducibles by degree: those of degree d that no irreducible of degree <= d/2 divides."""
+    found = {d: [] for d in range(1, maxdeg + 1)}
+    for d in range(1, maxdeg + 1):
+        for f in enumerate_monic(ctx, d):
+            if not any((f % pi).is_zero() for e in range(1, d // 2 + 1) for pi in found[e]):
+                found[d].append(f)
+    return found
+
+
+@pytest.mark.parametrize(
+    "p, nu, maxdeg", [(3, 1, 6), (5, 1, 4), (3, 2, 3), (5, 2, 2), (3, 3, 2)]
+)
+def test_factorize_matches_trial_division(p, nu, maxdeg):
+    ctx = FieldCtx(p, nu)
+    found = _sieved_irreducibles(ctx, maxdeg)
+    for d in range(1, maxdeg + 1):
+        for f in enumerate_monic(ctx, d):
+            reference = _trial_division_factors(f, found)
+            assert list(factorize(f).factors) == reference, f
+            assert is_irreducible(f) == (reference == [(f, 1)]), f
+
+
 def test_factorize_repeated_and_derivative_zero(F3):
     t = Poly.gen(F3)
     # (t+1)^3 = t^3 + 1 has zero derivative in characteristic 3
@@ -189,6 +232,17 @@ def test_factorize_repeated_and_derivative_zero(F3):
     fac2 = factorize(g)
     assert _expand(fac2, F3) == g
     assert all(k == 2 for _, k in fac2.factors)
+    # multiplicities p^2 (the p-th root is taken twice), p and 2p
+    one = Poly.one(F3)
+    assert factorize((t + one) ** 9).factors == ((t + one, 9),)
+    assert factorize(t**3 * (t**2 + one) ** 6).factors == ((t, 3), (t**2 + one, 6))
+    # p^2 with a coefficient outside F_3, then p and p + 1 over F_27
+    F9, F27 = FIELDS[9], FieldCtx(3, 3)
+    a = Poly.gen(F9) + Poly.constant(F9, 3)
+    b, c = Poly.gen(F27) + Poly.constant(F27, 3), Poly.gen(F27) + Poly.constant(F27, 9)
+    assert factorize(a**9).factors == ((a, 9),)
+    assert factorize(b**3 * c**4).factors == ((b, 3), (c, 4))
+    assert not is_irreducible(a**9) and not is_irreducible(b**3 * c**4)
 
 
 def test_factorize_is_deterministic(F5):
