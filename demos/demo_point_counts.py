@@ -19,7 +19,7 @@ from quadricpoints import (
     count_primitive,
     morphism_count,
 )
-from quadricpoints.forms import morphisms_from_primitive, primitive_from_counts
+from quadricpoints.forms import table_rows
 
 F3 = FieldCtx(3)
 
@@ -48,13 +48,12 @@ for P in range(1, 5):
     )
 
 # morphism counts vanish in forced patterns (here: odd P) and otherwise
-# match the ones derived from enumerated counts N(P - 1), N(P), N(P + 1)
+# match the ones derived from enumerated counts N(P + 1), N(P), N(P - 1)
 P = 2
-N = [brute_count(f, k) for k in (P - 1, P, P + 1)]
-prim, prim_above = (primitive_from_counts(N[k + 1], N[k], F3.q) for k in (0, 1))
+[(_, _, mor)] = table_rows(lambda k: brute_count(f, k), F3.q, [P])
 print(f"\nmorphism count check at P = {P}:")
 print("  closed formula :", morphism_count(f, P))
-print("  oracle         :", morphisms_from_primitive(prim_above, prim))
+print("  oracle         :", mor)
 
 # counts are uniform in the field: the same formulas drive F_9
 F9 = FieldCtx(3, 2)

@@ -25,20 +25,12 @@ import sys
 import time
 
 from .field import FieldCtx
-from .forms import QuadForm, classify, diagonalize, morphisms_from_primitive, primitive_from_counts
-from .formulas import count_circle, count_exact, morphism_count
-from .oracle import DEFAULT_BUDGET, BudgetExceeded, brute_count, convolution_count
-from .verify import SUITES
+from .forms import QuadForm, classify, diagonalize, table_rows
+from .formulas import morphism_count
+from .oracle import DEFAULT_BUDGET, BudgetExceeded
+from .verify import METHODS, SUITES
 
 SCHEMA_VERSION = 1
-
-#: --method name -> (label written in ``data``, N(P) for P >= 0)
-METHODS = {
-    "exact": ("exact_formula", lambda f, P, budget: count_exact(f, P)),
-    "circle": ("circle_reassembly", lambda f, P, budget: count_circle(f, P)),
-    "brute": ("brute_force", lambda f, P, budget: brute_count(f, P, budget)),
-    "conv": ("convolution", lambda f, P, budget: convolution_count(f, P)),
-}
 
 
 class UsageError(ValueError):
@@ -68,20 +60,8 @@ def _parse_element(ctx: FieldCtx, token: str) -> int:
 
 
 def _split_elements(s: str) -> list[str]:
-    """Split a comma list whose items may be bracketed, space-separated tuples."""
-    out, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    items = [t.strip() for t in out]
+    """Split a comma list; a bracketed item separates its coordinates by spaces."""
+    items = [t.strip() for t in s.split(",")]
     if "" in items:
         raise UsageError(f"empty item {items.index('') + 1} in {s!r}")
     return items
@@ -184,31 +164,17 @@ def cmd_count(f: QuadForm, P_values: list[int], methods: list[str], budget: int)
 
 
 def _table_column(f: QuadForm, P_values: list[int], method: str, budget: int):
-    """One method's rows in P order, computing each count once.
+    """One method's rows in P order, derived by ``forms.table_rows``.
 
-    The counts are taken in the order the rows first need them (P, P - 1,
-    P + 1), so the first refusal or error is the one a row-by-row
-    evaluation would hit.  Primitive counts follow from N(P) and N(P - 1)
-    on every column, and morphisms are the increment of the primitive
-    count, except on the exact column, which has its own closed formula.
+    The exact column shows the paper's closed morphism formula in place of
+    the derived morphism count.
     """
     label, count = METHODS[method]
-
-    @functools.cache
-    def count_at(k: int) -> int:
-        return count(f, k, budget)
-
-    @functools.cache
-    def primitive(k: int) -> int:
-        return primitive_from_counts(count_at(k), count_at(k - 1), f.ctx.q)
-
-    for P in P_values:
-        n, prim_P = count_at(P), primitive(P)
+    rows = table_rows(lambda k: count(f, k, budget), f.ctx.q, P_values)
+    for P, (n, prim, mor) in zip(P_values, rows):
         if method == "exact":
             mor = morphism_count(f, P)
-        else:
-            mor = morphisms_from_primitive(primitive(P + 1), prim_P)
-        yield {"P": P, "method": label, "N": n, "N_primitive": prim_P, "morphisms": mor}
+        yield {"P": P, "method": label, "N": n, "N_primitive": prim, "morphisms": mor}
 
 
 def cmd_table(f: QuadForm, P_values: list[int], methods: list[str], budget: int) -> dict:

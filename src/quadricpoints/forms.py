@@ -5,7 +5,8 @@ symmetric Gram matrix.  :func:`classify` decides the one invariant the
 closed formulas branch on: the parity of n and, for even n, the square
 class of the signed determinant.  The derived columns of a count table
 are arithmetic on counts alone: the primitive count from N(P) and
-N(P-1), and the morphism count from two primitive counts.
+N(P-1), and the morphism count from two primitive counts;
+:func:`table_rows` derives a table's rows from N alone.
 
 This module depends on nothing above F_q[t], so the closed route
 (:mod:`~quadricpoints.expsums`, :mod:`~quadricpoints.formulas`) and the
@@ -14,6 +15,7 @@ enumeration oracles (:mod:`~quadricpoints.oracle`) share only it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -175,3 +177,18 @@ def morphisms_from_primitive(prim_above: int, prim: int) -> int:
     if prim_above < prim:
         raise RuntimeError("primitive counts decreased with the box")
     return prim_above - prim
+
+
+def table_rows(count, q: int, P_values):
+    """(N(P), primitive count, morphism count) for each P in ``P_values``,
+    from ``count(k)`` = N(k) alone.
+
+    Each N(k) is asked for once, and a row asks for N(P + 1) first, then
+    N(P), then N(P - 1), so a row whose largest box is over budget refuses
+    before any of its work.
+    """
+    count = functools.cache(count)
+    primitive = functools.cache(lambda k: primitive_from_counts(count(k), count(k - 1), q))
+    for P in P_values:
+        prim_above, prim = primitive(P + 1), primitive(P)
+        yield count(P), prim, morphisms_from_primitive(prim_above, prim)

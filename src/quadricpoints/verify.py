@@ -29,8 +29,8 @@ from .expsums import (
     weyl_sum,
 )
 from .field import FieldCtx
-from .forms import QuadForm, morphisms_from_primitive, primitive_from_counts
-from .formulas import count_circle, count_exact, count_primitive, morphism_count
+from .forms import QuadForm, table_rows
+from .formulas import count_circle, count_exact, morphism_count
 from .oracle import DEFAULT_BUDGET, brute_count, convolution_count
 from .polyring import (
     Poly,
@@ -49,6 +49,17 @@ def _json_value(v):
     if isinstance(v, Fraction):
         return str(v)
     return v
+
+
+#: the four routes to N(P), for ``count``, ``table`` and ``verify counts``:
+#: name -> (label written in ``data``, N(P) for P >= 0); brute is first, so
+#: its refusal comes before any other route's work
+METHODS = {
+    "brute": ("brute_force", lambda f, P, budget: brute_count(f, P, budget)),
+    "exact": ("exact_formula", lambda f, P, budget: count_exact(f, P)),
+    "circle": ("circle_reassembly", lambda f, P, budget: count_circle(f, P)),
+    "conv": ("convolution", lambda f, P, budget: convolution_count(f, P)),
+}
 
 
 def _record(rid: str, **sides) -> dict:
@@ -171,33 +182,22 @@ def suite_counts(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = DEFA
         if f.n < 3:  # the paper's range, which fixes the record ids
             continue
         for P in range(1, pmax + 1):
-            out.append(
-                _record(
-                    f"N[{f.coeffs},P={P}]",
-                    brute=brute_count(f, P, budget),
-                    exact=count_exact(f, P),
-                    circle=count_circle(f, P),
-                    conv=convolution_count(f, P),
-                )
-            )
+            sides = {name: count(f, P, budget) for name, (_, count) in METHODS.items()}
+            out.append(_record(f"N[{f.coeffs},P={P}]", **sides))
     return out
 
 
 def suite_mor(ctx: FieldCtx, nmax: int = 4, pmax: int = 2, budget: int = DEFAULT_BUDGET) -> list[dict]:
     out = []
+    P_values = range(1, pmax + 1)
     for f in _form_family(ctx, nmax):
         if f.n < 3:  # the paper's range, which fixes the record ids
             continue
-        for P in range(1, pmax + 1):
-            closed = morphism_count(f, P)
-            # the largest box first, so a refusal names the estimate of the largest box
-            n_above, n_mid, n_below = (brute_count(f, k, budget) for k in (P + 1, P, P - 1))
-            brute = morphisms_from_primitive(
-                primitive_from_counts(n_above, n_mid, ctx.q), primitive_from_counts(n_mid, n_below, ctx.q)
-            )
-            derived = count_primitive(f, P + 1) - count_primitive(f, P)
+        brute = table_rows(lambda k: brute_count(f, k, budget), ctx.q, P_values)
+        derived = table_rows(lambda k: count_exact(f, k), ctx.q, P_values)
+        for P, (*_, by_brute), (*_, by_exact) in zip(P_values, brute, derived):
             rid = f"mor[{f.coeffs},P={P}]"
-            out.append(_record(rid, closed=closed, brute=brute, derived=derived))
+            out.append(_record(rid, closed=morphism_count(f, P), brute=by_brute, derived=by_exact))
     return out
 
 

@@ -64,6 +64,7 @@ def test_usage_errors(capsys):
         ("count", "--p", "3", "--coeffs", "1,0,1", "--P", "1"),  # zero coefficient
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P-range", "nonsense"),
         ("count", "--p", "3", "--coeffs", "1,,1,1", "--P", "1"),  # empty item
+        ("count", "--p", "3", "--nu", "2", "--coeffs", "[1,0],1,1", "--P", "1"),  # comma inside brackets
         ("count", "--p", "3", "--coeffs", "1,1,1,", "--P", "1"),  # trailing comma
         ("count", "--p", "3", "--gram", "1,0;0,,1", "--P", "1"),  # empty item in a row
         ("count", "--p", "3", "--gram", "1,0;;0,1", "--P", "1"),  # empty row
@@ -207,16 +208,16 @@ def test_empty_range(capsys):
 
 
 def _count_calls(monkeypatch, name):
-    import quadricpoints.cli as cli_mod
+    import quadricpoints.verify as verify_mod
 
     calls = []
-    real = getattr(cli_mod, name)
+    real = getattr(verify_mod, name)
 
     def counted(f, P, *rest):
         calls.append(P)
         return real(f, P, *rest)
 
-    monkeypatch.setattr(cli_mod, name, counted)
+    monkeypatch.setattr(verify_mod, name, counted)
     return calls
 
 
@@ -237,6 +238,29 @@ def test_table_computes_each_brute_count_once(capsys, monkeypatch):
     )
     assert code == 0
     assert sorted(calls) == [0, 1, 2, 3]
+
+
+def test_table_row_refuses_at_its_largest_box_first(capsys, monkeypatch):
+    # brute can afford N(3) (3^12 evaluations) but not N(4): the row refuses
+    # before it computes N(3) or N(2)
+    calls = _count_calls(monkeypatch, "brute_count")
+    code, out, err = run(
+        capsys, "table", "--p", "3", "--coeffs", "1,1,1,1", "--P", "3", "--method", "brute", "--budget", "1000000"
+    )
+    assert code == 3 and out == "" and err.startswith("budget exceeded:")
+    assert calls == [4]
+
+
+def test_verify_counts_takes_its_sides_from_the_method_table(capsys, monkeypatch):
+    # a failing record carries every side; a route added to METHODS is one more side
+    import quadricpoints.verify as verify_mod
+
+    monkeypatch.setitem(verify_mod.METHODS, "off_by_one", ("off", lambda f, P, budget: count_exact(f, P) + 1))
+    code, out, _ = run(capsys, "verify", "counts", "--p", "3", "--nmax", "4", "--pmax", "1")
+    assert code == 1
+    records = json.loads(out)["data"]
+    assert records and all(list(r)[3:] == list(verify_mod.METHODS) for r in records)
+    assert list(verify_mod.METHODS)[:4] == ["brute", "exact", "circle", "conv"]
 
 
 def test_count_refusal_stops_later_cells(capsys, monkeypatch):

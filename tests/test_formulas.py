@@ -28,6 +28,7 @@ from quadricpoints.forms import (
     diagonalize,
     morphisms_from_primitive,
     primitive_from_counts,
+    table_rows,
 )
 from quadricpoints.polyring import euler_phi
 
@@ -149,6 +150,19 @@ def test_morphism_from_counts_rejects_inconsistent():
         primitive_from_counts(0, 10, 3)  # negative result
     with pytest.raises(RuntimeError):
         morphisms_from_primitive(3, 4)  # the primitive count decreased
+
+
+def test_table_rows_ask_each_count_once_largest_box_first(F3):
+    f = QuadForm(F3, (1, 1, 1))
+    asked = []
+
+    def count(k):
+        asked.append(k)
+        return count_exact(f, k)
+
+    rows = list(table_rows(count, 3, [1, 2, 3]))
+    assert asked == [2, 1, 0, 3, 4]
+    assert rows == [(count_exact(f, P), count_primitive(f, P), morphism_count(f, P)) for P in (1, 2, 3)]
 
 
 def test_phi_degree_sum_matches_enumeration(F3, F5):

@@ -155,3 +155,40 @@ def test_one_exponentiation_loop():
     in_power = [f"field.py:{node.lineno}" for node in ast.walk(power) if is_halving(node)]
     assert len(in_power) == 1
     assert [where for where, node in _nodes() if is_halving(node)] == in_power
+
+
+def _top_level_calls(name: str) -> set:
+    """Where the package calls ``name``: "module.top_level_name" of the
+    function or class holding each call, "module.<module>" outside them."""
+    out = set()
+    for path in sorted(ROOT.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            holder = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called == name:
+                        out.add(f"{path.stem}.{holder}")
+    return out
+
+
+def test_rows_are_derived_in_forms():
+    """Primitive and morphism counts are arithmetic on the N sequence, done in
+    ``forms`` alone (``forms.table_rows`` for a table's rows), and the routes
+    to N are named once, as ``verify.METHODS``, for count, table and verify."""
+    assert {c for c in _top_level_calls("morphisms_from_primitive") if not c.startswith("forms.")} == set()
+    outside = {c for c in _top_level_calls("primitive_from_counts") if not c.startswith("forms.")}
+    assert outside <= {"formulas.count_primitive"}, outside
+
+    def defines_methods(node):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        return any(isinstance(t, ast.Name) and t.id == "METHODS" for t in targets)
+
+    definers = {
+        path.stem
+        for path in sorted(ROOT.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if defines_methods(node)
+    }
+    assert definers == {"verify"}, definers

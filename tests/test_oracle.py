@@ -29,7 +29,7 @@ from quadricpoints import (
 )
 from quadricpoints import oracle
 from quadricpoints.field import is_prime
-from quadricpoints.forms import morphisms_from_primitive, primitive_from_counts
+from quadricpoints.forms import primitive_from_counts, table_rows
 from quadricpoints.oracle import CONVOLUTION_STATE_CAP, _crt_primes, _scaled_index
 
 
@@ -108,10 +108,9 @@ def primitive_reference(f, P):
 
 def derived_counts(f, P, budget=DEFAULT_BUDGET):
     """The primitive count at P and the morphism count of degree P, both
-    derived through ``forms`` from brute_count at P + 1, P and P - 1."""
-    above, mid, below = (brute_count(f, k, budget) for k in (P + 1, P, P - 1))
-    prim = primitive_from_counts(mid, below, f.ctx.q)
-    return prim, morphisms_from_primitive(primitive_from_counts(above, mid, f.ctx.q), prim)
+    derived by ``forms.table_rows`` from brute_count at P + 1, P and P - 1."""
+    [(_, prim, mor)] = table_rows(lambda k: brute_count(f, k, budget), f.ctx.q, [P])
+    return prim, mor
 
 
 @pytest.mark.parametrize("q", [3, 5])
