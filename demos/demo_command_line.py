@@ -52,3 +52,6 @@ show(
         "--P", "3", "--method", "brute", "--budget", "1000",
     ]
 )
+
+# bad input is one error line and exit code 2, never a usage dump or a traceback
+show(["quadricpoints", "count", "--p", "3", "--coeffs", "1,1,1", "--P-range", "3..2"])

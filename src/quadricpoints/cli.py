@@ -9,8 +9,9 @@ Three subcommands:
 JSON is the canonical output; ``--emit csv`` projects the data rows.
 Data sections are byte-deterministic for a fixed invocation: ordering is
 fixed, values are exact integers, and the wall-clock time lives only in
-the ``meta`` block.  Exit codes: 0 success, 1 failed verification,
-2 usage or validation error, 3 enumeration budget exceeded.
+the ``meta`` block.  ``main(argv)`` returns the exit code: 0 success,
+1 failed verification, 2 usage or validation error (one ``error:`` line,
+argparse's own included), 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -26,15 +27,22 @@ import time
 
 from .field import FieldCtx
 from .forms import QuadForm, classify, diagonalize, table_rows
-from .formulas import morphism_count
 from .oracle import DEFAULT_BUDGET, BudgetExceeded
 from .verify import METHODS, SUITES
 
 SCHEMA_VERSION = 1
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Bad input: ``main`` prints it as one ``error:`` line and returns 2.
+    Raised in a flag's ``type=`` converter, argparse names the flag."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are usage errors, not a usage dump and an exit."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -67,57 +75,65 @@ def _split_elements(s: str) -> list[str]:
     return items
 
 
+def _positive(text: str) -> int:
+    """``--P``, an end of ``--P-range``, ``--budget`` or ``--q``: an integer >= 1."""
+    value = int(text) if text.strip().isdecimal() else 0
+    if value < 1:
+        raise UsageError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _P_range(text: str) -> list[int]:
+    """``--P-range lo..hi``: the box exponents lo, ..., hi."""
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        raise UsageError(f"cannot parse P range {text!r}; use 'lo..hi'")
+    lo, hi = _positive(lo), _positive(hi)
+    if lo > hi:
+        raise UsageError(f"empty P range {text!r}: lo must not exceed hi")
+    return list(range(lo, hi + 1))
+
+
+def _methods(text: str) -> list[str]:
+    """``--method``: names of METHODS, each once, in the order given."""
+    methods = _split_elements(text)
+    for tok in methods:
+        if tok not in METHODS:
+            raise UsageError(f"unknown method {tok!r}; choose from {', '.join(METHODS)}")
+    return list(dict.fromkeys(methods))
+
+
+def _prime_power(text: str) -> tuple[int, int]:
+    """``--q``: an odd prime power q, as (p, nu) with q = p^nu."""
+    q = _positive(text)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    nu = 1
+    while p**nu < q:
+        nu += 1
+    if q < 3 or p**nu != q:
+        raise UsageError(f"must be an odd prime power, got {q}")
+    return p, nu
+
+
 def _build_ctx(args) -> FieldCtx:
-    if args.p is None:
+    if args.q is not None:
+        if args.p is not None or args.nu is not None:
+            raise UsageError("give either --q or --p/--nu, not both")
+        p, nu = args.q
+    elif args.p is None:
         raise UsageError("--p is required")
-    modulus = None
-    if args.modulus:
-        modulus = [int(c) for c in args.modulus.split(",")]
-    return FieldCtx(args.p, 1 if args.nu is None else args.nu, modulus)
+    else:
+        p, nu = args.p, 1 if args.nu is None else args.nu
+    modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
+    return FieldCtx(p, nu, modulus)
 
 
 def _build_form(ctx: FieldCtx, args) -> QuadForm:
-    if args.coeffs and args.gram:
-        raise UsageError("give either --coeffs or --gram, not both")
-    if args.coeffs:
-        coeffs = [_parse_element(ctx, tok) for tok in _split_elements(args.coeffs)]
-        return QuadForm(ctx, tuple(coeffs))
-    if args.gram:
-        rows = [
-            [_parse_element(ctx, tok) for tok in _split_elements(row)]
-            for row in args.gram.split(";")
-        ]
-        return diagonalize(ctx, rows)
-    raise UsageError("a form is required: --coeffs or --gram")
-
-
-def _parse_P_values(args) -> list[int]:
-    if args.P is not None and args.P_range is not None:
-        raise UsageError("give either --P or --P-range, not both")
-    if args.P is not None:
-        return [args.P]
-    if args.P_range is not None:
-        text = args.P_range
-        try:
-            lo, hi = (int(x) for x in text.split(".."))
-        except ValueError:
-            raise UsageError(f"cannot parse P range {text!r}; use 'lo..hi'") from None
-        if lo > hi:
-            raise UsageError(f"empty P range {text!r}: lo must not exceed hi")
-        return list(range(lo, hi + 1))
-    raise UsageError("a box size is required: --P or --P-range")
-
-
-def _parse_methods(text: str) -> list[str]:
-    methods = []
-    for tok in _split_elements(text):
-        if tok not in METHODS:
-            raise UsageError(
-                f"unknown method {tok!r}; choose from {', '.join(METHODS)}"
-            )
-        if tok not in methods:
-            methods.append(tok)
-    return methods
+    """The form of ``--coeffs`` or ``--gram``, whichever one the parser let through."""
+    if args.coeffs is not None:
+        return QuadForm(ctx, tuple(_parse_element(ctx, tok) for tok in _split_elements(args.coeffs)))
+    rows = [[_parse_element(ctx, tok) for tok in _split_elements(row)] for row in args.gram.split(";")]
+    return diagonalize(ctx, rows)
 
 
 def _coeffs_json(f: QuadForm) -> list:
@@ -164,16 +180,10 @@ def cmd_count(f: QuadForm, P_values: list[int], methods: list[str], budget: int)
 
 
 def _table_column(f: QuadForm, P_values: list[int], method: str, budget: int):
-    """One method's rows in P order, derived by ``forms.table_rows``.
-
-    The exact column shows the paper's closed morphism formula in place of
-    the derived morphism count.
-    """
+    """One method's rows in P order, derived by ``forms.table_rows``."""
     label, count = METHODS[method]
     rows = table_rows(lambda k: count(f, k, budget), f.ctx.q, P_values)
     for P, (n, prim, mor) in zip(P_values, rows):
-        if method == "exact":
-            mor = morphism_count(f, P)
         yield {"P": P, "method": label, "N": n, "N_primitive": prim, "morphisms": mor}
 
 
@@ -184,8 +194,6 @@ def cmd_table(f: QuadForm, P_values: list[int], methods: list[str], budget: int)
 
 
 def cmd_verify(ctx: FieldCtx, suite: str, kwargs: dict) -> dict:
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     records = SUITES[suite](ctx, **kwargs)
     if not records:
         raise UsageError(f"verify {suite} has no instances at these bounds")
@@ -237,91 +245,66 @@ def _emit(payload: dict, command: str, spec: dict, emit: str, runtime_ms: int, s
 # ---------------------------------------------------------------------------
 # argument wiring
 
+#: verify suite -> {parameter name: default}, read from its signature at
+#: import, so a wrapper later put in place of a SUITES entry (a tracer's) hides none
+_SUITE_PARAMS = {
+    name: {p.name: p.default for p in inspect.signature(fn).parameters.values()}
+    for name, fn in SUITES.items()
+}
+
+#: the bound flags of ``verify``, sorted: every suite parameter but the field and the budget
+_VERIFY_BOUNDS = tuple(sorted({b for params in _SUITE_PARAMS.values() for b in params} - {"ctx", "budget"}))
+
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, help="odd prime characteristic")
-    common.add_argument("--q", type=int, help="field size p^nu (alternative to --p/--nu)")
+    common.add_argument("--q", type=_prime_power, help="field size p^nu (alternative to --p/--nu)")
     common.add_argument("--nu", type=int, help="extension degree (default 1)")
     common.add_argument("--modulus", help="comma list of F_p coefficients, low to high")
     common.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget (evaluations)"
+        "--budget", type=_positive, default=DEFAULT_BUDGET, help="enumeration budget (evaluations)"
     )
     common.add_argument("--emit", choices=["json", "csv"], default="json")
     # kept for argv lists that still pass it; benchmark v2 (ROADMAP item 1) deletes it
     common.add_argument("--jobs", type=int, default=1, help="accepted and ignored: cells run in order")
 
     form_args = argparse.ArgumentParser(add_help=False)
-    form_args.add_argument("--coeffs", help="diagonal coefficients, comma separated")
-    form_args.add_argument("--gram", help="symmetric Gram rows 'a,b;b,c'")
-    form_args.add_argument("--P", type=int, help="height box exponent")
-    form_args.add_argument("--P-range", dest="P_range", help="inclusive range 'lo..hi'")
+    form = form_args.add_mutually_exclusive_group(required=True)
+    form.add_argument("--coeffs", help="diagonal coefficients, comma separated")
+    form.add_argument("--gram", help="symmetric Gram rows 'a,b;b,c'")
+    box = form_args.add_mutually_exclusive_group(required=True)
+    box.add_argument("--P", dest="P_values", metavar="P", type=lambda text: [_positive(text)], help="box exponent")
+    box.add_argument("--P-range", dest="P_values", metavar="LO..HI", type=_P_range, help="inclusive P range")
+    form_args.add_argument("--method", type=_methods, default="exact", help=f"comma list of: {','.join(METHODS)}")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadricpoints",
         description="Exact point counts on diagonal quadrics over F_q(t).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", parents=[common, form_args], help="compute N(P)")
-    p_count.add_argument("--method", default="exact", help="comma list: exact,circle,brute,conv")
-
-    p_table = sub.add_parser(
-        "table", parents=[common, form_args], help="N / primitive / morphism table"
-    )
-    p_table.add_argument("--method", default="exact", help="comma list: exact,circle,brute,conv")
-
+    sub.add_parser("count", parents=[common, form_args], help="compute N(P)")
+    sub.add_parser("table", parents=[common, form_args], help="N / primitive / morphism table")
     p_verify = sub.add_parser("verify", parents=[common], help="run an identity suite")
-    p_verify.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
-    p_verify.add_argument("--maxdeg", type=int, help="modulus degree bound")
-    p_verify.add_argument("--maxk", type=int, help="prime-power exponent bound")
-    p_verify.add_argument("--n", type=int, help="number of variables")
-    p_verify.add_argument("--nmax", type=int, help="variable count bound")
-    p_verify.add_argument("--pmax", type=int, help="box exponent bound")
-    p_verify.add_argument("--mmax", type=int, help="stratum depth bound")
+    p_verify.add_argument("suite", choices=SUITES, help="the identity suite to run")
+    for bound in _VERIFY_BOUNDS:
+        takers = [f"{name} {params[bound]}" for name, params in _SUITE_PARAMS.items() if bound in params]
+        p_verify.add_argument(f"--{bound}", type=int, help=f"default per suite: {', '.join(takers)}")
     return parser
 
 
-def _apply_q_flag(args) -> None:
-    if args.q is None:
-        return
-    if args.p is not None or args.nu is not None:
-        raise UsageError("give either --q or --p/--nu, not both")
-    q = args.q
-    if q < 3:
-        raise UsageError(f"--q must be an odd prime power, got {q}")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    nu = 1
-    while p**nu < q:
-        nu += 1
-    if p**nu != q:
-        raise UsageError(f"--q must be a prime power, got {q}")
-    args.p, args.nu = p, nu
-
-
-#: the bound flags of ``verify``, sorted; a suite takes those its signature names
-_VERIFY_BOUNDS = ("maxdeg", "maxk", "mmax", "n", "nmax", "pmax")
-
-#: verify suite -> its parameter names, read from its signature at import,
-#: so a wrapper later put in place of a SUITES entry (a tracer's) hides none
-_SUITE_PARAMS = {name: tuple(inspect.signature(fn).parameters) for name, fn in SUITES.items()}
-
-
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        _apply_q_flag(args)
+        args = _make_parser().parse_args(argv)
         ctx = _build_ctx(args)
-        if args.budget < 1:
-            raise UsageError(f"--budget must be >= 1, got {args.budget}")
         if args.command == "verify":
-            params = _SUITE_PARAMS.get(args.suite, ())
-            takes = [name for name in params if name in _VERIFY_BOUNDS]
+            params = _SUITE_PARAMS[args.suite]
             kwargs = {name: getattr(args, name) for name in _VERIFY_BOUNDS if getattr(args, name) is not None}
-            extra = [name for name in kwargs if name not in takes]
-            if extra and args.suite in _SUITE_PARAMS:
+            extra = [name for name in kwargs if name not in params]
+            if extra:
+                takes = [name for name in params if name in _VERIFY_BOUNDS]
                 raise UsageError(
                     f"verify {args.suite} does not take --{', --'.join(extra)}; it takes --{', --'.join(takes)}"
                 )
@@ -333,15 +316,9 @@ def main(argv=None) -> int:
             spec, payload = _spec(ctx), cmd_verify(ctx, args.suite, kwargs)
         else:
             f = _build_form(ctx, args)
-            P_values = _parse_P_values(args)
-            methods = _parse_methods(args.method)
-            if any(P < 1 for P in P_values):
-                raise UsageError("P values must be >= 1")
-            spec = _spec(ctx, f, P_values, methods)
-            if args.command == "count":
-                payload = cmd_count(f, P_values, methods, args.budget)
-            else:
-                payload = cmd_table(f, P_values, methods, args.budget)
+            spec = _spec(ctx, f, args.P_values, args.method)
+            command = cmd_count if args.command == "count" else cmd_table
+            payload = command(f, args.P_values, args.method, args.budget)
         runtime_ms = int((time.monotonic() - start) * 1000)
         _emit(payload, args.command, spec, args.emit, runtime_ms, sys.stdout)
         return 1 if payload.get("failed") else 0

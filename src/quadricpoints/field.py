@@ -126,33 +126,30 @@ class FieldCtx:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.nu == 1:
-            return (a + b) % self.p
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign*b for nu > 1, coordinate by coordinate in the power basis."""
         p = self.p
         out = 0
         pw = 1
         for _ in range(self.nu):
-            out += ((a + b) % p) * pw
+            out += ((a + sign * b) % p) * pw
             a //= p
             b //= p
             pw *= p
         return out
 
-    def neg(self, a: int) -> int:
+    def add(self, a: int, b: int) -> int:
         if self.nu == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        pw = 1
-        for _ in range(self.nu):
-            out += ((-a) % p) * pw
-            a //= p
-            pw *= p
-        return out
+            return (a + b) % self.p
+        return self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.nu == 1:
+            return (a - b) % self.p
+        return self._digitwise(a, b, -1)
+
+    def neg(self, a: int) -> int:
+        return self.sub(0, a)
 
     def _mul_raw(self, a: int, b: int) -> int:
         nu, m = self.nu, self.modulus

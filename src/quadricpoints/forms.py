@@ -105,10 +105,12 @@ def classify(f: QuadForm) -> CaseTag:
 def diagonalize(ctx: FieldCtx, gram) -> QuadForm:
     """Diagonal model of the quadratic form x^T G x for symmetric G.
 
-    Runs symmetric Gaussian elimination (congruence transformations) in
-    odd characteristic.  Degenerate input is rejected.  The diagonal
-    returned is equivalent to G, not unique, but its CaseTag and counts
-    are invariants.
+    Symmetric Gaussian elimination (congruence transformations) in odd
+    characteristic: each pivot is the first nonzero diagonal entry of the
+    trailing block, else x_0 -> x_0 + x_off makes it 2*G[0][off] != 0, and
+    the trailing block becomes its Schur complement.  Degenerate input is
+    rejected.  The diagonal is equivalent to G, not unique, but its CaseTag
+    and counts are invariants.
     """
     n = len(gram)
     G = [list(row) for row in gram]
@@ -122,35 +124,28 @@ def diagonalize(ctx: FieldCtx, gram) -> QuadForm:
             if not 0 <= G[i][j] < ctx.q:
                 raise ValueError("Gram entries must be F_q encodings")
     diag = []
-    for i in range(n):
-        if G[i][i] == 0:
-            pivot = next((j for j in range(i + 1, n) if G[j][j] != 0), None)
-            if pivot is not None:
-                for k in range(n):
-                    G[i][k], G[pivot][k] = G[pivot][k], G[i][k]
-                for k in range(n):
-                    G[k][i], G[k][pivot] = G[k][pivot], G[k][i]
-            else:
-                off = next((j for j in range(i + 1, n) if G[i][j] != 0), None)
-                if off is None:
-                    raise ValueError("Gram matrix is degenerate")
-                # x_i -> x_i + x_off makes the diagonal entry 2*G[i][off] != 0
-                for k in range(n):
-                    G[i][k] = ctx.add(G[i][k], G[off][k])
-                for k in range(n):
-                    G[k][i] = ctx.add(G[k][i], G[k][off])
-        d = G[i][i]
+    while G:
+        pivot = next((j for j in range(len(G)) if G[j][j]), None)
+        if pivot is not None:
+            G[0], G[pivot] = G[pivot], G[0]
+            for row in G:
+                row[0], row[pivot] = row[pivot], row[0]
+        else:
+            off = next((j for j in range(1, len(G)) if G[0][j]), None)
+            if off is None:
+                raise ValueError("Gram matrix is degenerate")
+            G[0] = [ctx.add(a, b) for a, b in zip(G[0], G[off])]
+            for row in G:
+                row[0] = ctx.add(row[0], row[off])
+        d, *top = G[0]
+        diag.append(d)
         inv_d = ctx.inv(d)
-        for j in range(i + 1, n):
-            c = ctx.mul(G[i][j], inv_d)
-            if c:
-                for k in range(n):
-                    G[j][k] = ctx.sub(G[j][k], ctx.mul(c, G[i][k]))
-                for k in range(n):
-                    G[k][j] = ctx.sub(G[k][j], ctx.mul(c, G[k][i]))
-        diag.append(G[i][i])
-    if any(d == 0 for d in diag):
-        raise ValueError("Gram matrix is degenerate")
+        # the Schur complement: G[j][k] - G[j][0] * G[0][k] / d on the trailing block
+        G = [
+            [ctx.sub(g, ctx.mul(c, t)) for g, t in zip(row[1:], top)]
+            for row in G[1:]
+            for c in [ctx.mul(row[0], inv_d)]
+        ]
     return QuadForm(ctx, tuple(diag))
 
 

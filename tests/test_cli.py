@@ -77,11 +77,19 @@ def test_usage_errors(capsys):
         ("verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1"),
         ("verify", "phis", "--p", "5", "--pmax", "5"),
         ("verify", "gauss", "--p", "3", "--n", "2"),
+        # argparse's own errors take the same path: one line, no usage dump
+        (),
+        ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "x"),
+        ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--bogus"),
+        ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--emit", "xml"),
+        ("table", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--budget", "x"),
+        ("verify", "--p", "3"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, f"expected usage error for {argv}"
         assert err.startswith("error:")
+        assert err.count("\n") == 1 and err.endswith("\n") and "usage:" not in err, err
 
 
 def test_verify_names_the_flags_it_does_not_take(capsys):

@@ -73,6 +73,8 @@ def test_untabled_extension_field_is_a_field():
     for a, b, c in zip(sample, sample[1:], sample[2:]):
         assert F.mul(a, b) == F.mul(b, a)
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        assert F.sub(a, b) == F.add(a, F.neg(b))
+        assert F.add(F.sub(a, b), b) == a
     for a in sample:
         if a:
             assert F.mul(a, F.inv(a)) == 1
@@ -85,6 +87,8 @@ def test_extension_field_is_a_field(F9):
         for b in els:
             assert F9.add(a, b) == F9.add(b, a)
             assert F9.mul(a, b) == F9.mul(b, a)
+            assert F9.sub(a, b) == F9.add(a, F9.neg(b))
+            assert F9.add(F9.sub(a, b), b) == a
     for a in els:
         for b in els:
             for c in els:

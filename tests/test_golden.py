@@ -40,6 +40,12 @@ JOBS = [
     ["verify", "weyl", "--p", "3", "--n", "2", "--pmax", "2"],
     ["verify", "weyl", "--q", "9", "--n", "2", "--pmax", "1"],
     ["verify", "arcs", "--p", "3", "--nmax", "3", "--pmax", "2"],
+    # diagonalize: a pivot swap with the last index, then with a middle one
+    ["count", "--p", "3", "--gram", "0,1,0;1,0,1;0,1,2", "--P-range", "1..2", *ALL],
+    ["count", "--p", "3", "--gram", "0,0,1;0,2,0;1,0,0", "--P", "2", "--method", "circle,brute"],
+    # an all-zero diagonal: x_0 -> x_0 + x_off runs twice
+    ["table", "--p", "3", "--gram", "0,1,0,0;1,0,0,0;0,0,0,1;0,0,1,0", "--P-range", "1..2", "--method", "exact,conv"],
+    ["count", "--q", "9", "--gram", "0,[0 1],0;[0 1],0,0;0,0,[2 2]", "--P", "1", "--method", "exact,brute"],
 ]
 
 

@@ -1,6 +1,7 @@
 """Library invariants must survive ``python -O``, which strips ``assert`` and ``__debug__`` blocks."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import quadricpoints
@@ -192,3 +193,19 @@ def test_rows_are_derived_in_forms():
         if defines_methods(node)
     }
     assert definers == {"verify"}, definers
+
+
+def test_verify_bound_flags_come_from_the_suites():
+    """``verify``'s bound flags are built from the suites' signatures, so a
+    suite's parameters are listed once, in ``verify.SUITES``: no string in
+    ``cli.py`` spells ``--<parameter>``.  ``--budget`` is no bound: every
+    subcommand takes it, and a suite with a ``budget`` parameter gets it."""
+    from quadricpoints.verify import SUITES
+
+    params = {name for fn in SUITES.values() for name in inspect.signature(fn).parameters} - {"budget"}
+    spelled = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(ast.parse((ROOT / "cli.py").read_text()))
+        if isinstance(node, ast.Constant) and node.value in {f"--{name}" for name in params}
+    ]
+    assert spelled == []
