@@ -45,6 +45,9 @@ show(["quadricpoints", "count", "--q", "9", "--coeffs", "1,1,1", "--P", "1", "--
 # identity suites return a nonzero exit code on any failed instance
 show(["quadricpoints", "verify", "phis", "--p", "5", "--emit", "csv"])
 
+# each suite is a subcommand with its own bound flags; --help lists them with their defaults
+show(["quadricpoints", "verify", "weyl", "--help"])
+
 # refusing an oversized enumeration is an explicit exit code, not a hang
 show(
     [
@@ -55,3 +58,6 @@ show(
 
 # bad input is one error line and exit code 2, never a usage dump or a traceback
 show(["quadricpoints", "count", "--p", "3", "--coeffs", "1,1,1", "--P-range", "3..2"])
+
+# a flag is taken only as spelled: --n is not read as --nu
+show(["quadricpoints", "count", "--p", "3", "--n", "2", "--coeffs", "1,1,1", "--P", "1"])

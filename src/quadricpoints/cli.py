@@ -4,14 +4,16 @@ Three subcommands:
 
 * ``count``  - N(P) for a diagonal form, by one or more methods
 * ``table``  - rows (P, N, primitive count, morphism count) over a P range
-* ``verify`` - run one of the bundled identity suites
+* ``verify`` - run one of the bundled identity suites: ``verify <suite>``
+  takes the suite's own bound flags, read from its signature
 
 JSON is the canonical output; ``--emit csv`` projects the data rows.
 Data sections are byte-deterministic for a fixed invocation: ordering is
 fixed, values are exact integers, and the wall-clock time lives only in
 the ``meta`` block.  ``main(argv)`` returns the exit code: 0 success,
 1 failed verification, 2 usage or validation error (one ``error:`` line,
-argparse's own included), 3 enumeration budget exceeded.
+argparse's own included; a flag is taken only as spelled, never by a
+prefix), 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ import csv
 import functools
 import inspect
 import json
-import math
 import sys
 import time
 
-from .field import FieldCtx
+from .field import FieldCtx, is_prime
 from .forms import QuadForm, classify, diagonalize, table_rows
 from .oracle import DEFAULT_BUDGET, BudgetExceeded
 from .verify import METHODS, SUITES
@@ -39,7 +40,11 @@ class UsageError(ValueError, argparse.ArgumentTypeError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose errors are usage errors, not a usage dump and an exit."""
+    """An argparse parser that takes a flag only as spelled, not by a prefix,
+    and whose errors are usage errors, not a usage dump and an exit."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -75,11 +80,12 @@ def _split_elements(s: str) -> list[str]:
     return items
 
 
-def _positive(text: str) -> int:
-    """``--P``, an end of ``--P-range``, ``--budget`` or ``--q``: an integer >= 1."""
-    value = int(text) if text.strip().isdecimal() else 0
-    if value < 1:
-        raise UsageError(f"expected an integer >= 1, got {text!r}")
+def _integer(text: str, least: int = 1) -> int:
+    """An integer flag: >= 1 for ``--P``, an end of ``--P-range``, ``--budget``
+    or ``--q``, >= 0 for a verify bound."""
+    value = int(text) if text.strip().isdecimal() else -1
+    if value < least:
+        raise UsageError(f"expected an integer >= {least}, got {text!r}")
     return value
 
 
@@ -88,7 +94,7 @@ def _P_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise UsageError(f"cannot parse P range {text!r}; use 'lo..hi'")
-    lo, hi = _positive(lo), _positive(hi)
+    lo, hi = _integer(lo), _integer(hi)
     if lo > hi:
         raise UsageError(f"empty P range {text!r}: lo must not exceed hi")
     return list(range(lo, hi + 1))
@@ -104,28 +110,34 @@ def _methods(text: str) -> list[str]:
 
 
 def _prime_power(text: str) -> tuple[int, int]:
-    """``--q``: an odd prime power q, as (p, nu) with q = p^nu."""
-    q = _positive(text)
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    nu = 1
-    while p**nu < q:
-        nu += 1
-    if q < 3 or p**nu != q:
-        raise UsageError(f"must be an odd prime power, got {q}")
-    return p, nu
+    """``--q``: an odd prime power q, as (p, nu) with q = p^nu: the first nu
+    whose integer nu-th root p has p^nu = q and is an odd prime."""
+    q = _integer(text)
+    for nu in range(1, q.bit_length()):
+        p = 0  # the integer nu-th root of q, built bit by bit
+        for bit in reversed(range(q.bit_length() // nu + 1)):
+            if (p | 1 << bit) ** nu <= q:
+                p |= 1 << bit
+        if p**nu == q and p % 2 and is_prime(p):
+            return p, nu
+    raise UsageError(f"must be an odd prime power, got {q}")
+
+
+def _modulus(text: str) -> list[int]:
+    """``--modulus``: comma-separated F_p coefficients, low to high."""
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise UsageError(f"expected a comma list of integers, got {text!r}") from None
 
 
 def _build_ctx(args) -> FieldCtx:
-    if args.q is not None:
-        if args.p is not None or args.nu is not None:
-            raise UsageError("give either --q or --p/--nu, not both")
-        p, nu = args.q
-    elif args.p is None:
-        raise UsageError("--p is required")
-    else:
-        p, nu = args.p, 1 if args.nu is None else args.nu
-    modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
-    return FieldCtx(p, nu, modulus)
+    """The field of ``--p``/``--nu`` or ``--q``, whichever one the parser let through."""
+    if args.q is None:
+        return FieldCtx(args.p, 1 if args.nu is None else args.nu, args.modulus)
+    if args.nu is not None:
+        raise UsageError("give either --q or --p/--nu, not both")
+    return FieldCtx(*args.q, args.modulus)
 
 
 def _build_form(ctx: FieldCtx, args) -> QuadForm:
@@ -252,30 +264,26 @@ _SUITE_PARAMS = {
     for name, fn in SUITES.items()
 }
 
-#: the bound flags of ``verify``, sorted: every suite parameter but the field and the budget
-_VERIFY_BOUNDS = tuple(sorted({b for params in _SUITE_PARAMS.values() for b in params} - {"ctx", "budget"}))
-
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, help="odd prime characteristic")
-    common.add_argument("--q", type=_prime_power, help="field size p^nu (alternative to --p/--nu)")
+    common = _Parser(add_help=False)
+    field = common.add_mutually_exclusive_group(required=True)
+    field.add_argument("--p", type=int, help="odd prime characteristic")
+    field.add_argument("--q", type=_prime_power, help="field size p^nu (alternative to --p/--nu)")
     common.add_argument("--nu", type=int, help="extension degree (default 1)")
-    common.add_argument("--modulus", help="comma list of F_p coefficients, low to high")
-    common.add_argument(
-        "--budget", type=_positive, default=DEFAULT_BUDGET, help="enumeration budget (evaluations)"
-    )
+    common.add_argument("--modulus", type=_modulus, help="comma list of F_p coefficients, low to high")
+    common.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET, help="enumeration budget (evaluations)")
     common.add_argument("--emit", choices=["json", "csv"], default="json")
     # kept for argv lists that still pass it; benchmark v2 (ROADMAP item 1) deletes it
     common.add_argument("--jobs", type=int, default=1, help="accepted and ignored: cells run in order")
 
-    form_args = argparse.ArgumentParser(add_help=False)
+    form_args = _Parser(add_help=False)
     form = form_args.add_mutually_exclusive_group(required=True)
     form.add_argument("--coeffs", help="diagonal coefficients, comma separated")
     form.add_argument("--gram", help="symmetric Gram rows 'a,b;b,c'")
     box = form_args.add_mutually_exclusive_group(required=True)
-    box.add_argument("--P", dest="P_values", metavar="P", type=lambda text: [_positive(text)], help="box exponent")
+    box.add_argument("--P", dest="P_values", metavar="P", type=lambda text: [_integer(text)], help="box exponent")
     box.add_argument("--P-range", dest="P_values", metavar="LO..HI", type=_P_range, help="inclusive P range")
     form_args.add_argument("--method", type=_methods, default="exact", help=f"comma list of: {','.join(METHODS)}")
 
@@ -286,11 +294,14 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("count", parents=[common, form_args], help="compute N(P)")
     sub.add_parser("table", parents=[common, form_args], help="N / primitive / morphism table")
-    p_verify = sub.add_parser("verify", parents=[common], help="run an identity suite")
-    p_verify.add_argument("suite", choices=SUITES, help="the identity suite to run")
-    for bound in _VERIFY_BOUNDS:
-        takers = [f"{name} {params[bound]}" for name, params in _SUITE_PARAMS.items() if bound in params]
-        p_verify.add_argument(f"--{bound}", type=int, help=f"default per suite: {', '.join(takers)}")
+    p_verify = sub.add_parser("verify", help="run an identity suite")
+    suites = p_verify.add_subparsers(dest="suite", required=True, help="the identity suite to run")
+    natural = functools.partial(_integer, least=0)
+    for name, params in _SUITE_PARAMS.items():
+        p_suite = suites.add_parser(name, parents=[common])
+        for bound, default in params.items():
+            if bound not in ("ctx", "budget"):
+                p_suite.add_argument(f"--{bound}", type=natural, default=default, help=f"default {default}")
     return parser
 
 
@@ -300,19 +311,7 @@ def main(argv=None) -> int:
         args = _make_parser().parse_args(argv)
         ctx = _build_ctx(args)
         if args.command == "verify":
-            params = _SUITE_PARAMS[args.suite]
-            kwargs = {name: getattr(args, name) for name in _VERIFY_BOUNDS if getattr(args, name) is not None}
-            extra = [name for name in kwargs if name not in params]
-            if extra:
-                takes = [name for name in params if name in _VERIFY_BOUNDS]
-                raise UsageError(
-                    f"verify {args.suite} does not take --{', --'.join(extra)}; it takes --{', --'.join(takes)}"
-                )
-            negative = [name for name, value in kwargs.items() if value < 0]
-            if negative:
-                raise UsageError(f"verify bounds must be >= 0: --{', --'.join(negative)}")
-            if "budget" in params:
-                kwargs["budget"] = args.budget
+            kwargs = {name: getattr(args, name) for name in _SUITE_PARAMS[args.suite] if name != "ctx"}
             spec, payload = _spec(ctx), cmd_verify(ctx, args.suite, kwargs)
         else:
             f = _build_form(ctx, args)

@@ -1,5 +1,7 @@
 """End-to-end exercising of the command-line interface via main(argv)."""
 
+import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -7,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from quadricpoints import FieldCtx, QuadForm, count_exact
-from quadricpoints.cli import main
+from quadricpoints.cli import UsageError, _make_parser, _prime_power, main
+from quadricpoints.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -77,6 +80,7 @@ def test_usage_errors(capsys):
         ("verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1"),
         ("verify", "phis", "--p", "5", "--pmax", "5"),
         ("verify", "gauss", "--p", "3", "--n", "2"),
+        ("verify", "--p", "3", "weyl"),  # the suite comes before the field flags
         # argparse's own errors take the same path: one line, no usage dump
         (),
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "x"),
@@ -95,7 +99,70 @@ def test_usage_errors(capsys):
 def test_verify_names_the_flags_it_does_not_take(capsys):
     code, _, err = run(capsys, "verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1")
     assert code == 2
-    assert err == "error: verify weyl does not take --maxdeg, --nmax; it takes --n, --pmax\n"
+    assert err == "error: unrecognized arguments: --nmax 4 --maxdeg 9\n"
+
+
+def _subcommands(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _commands() -> dict:
+    """``count``, ``table`` and each ``verify`` suite: its argv head and parser."""
+    commands = _subcommands(_make_parser())
+    out = {name: ([name], commands[name]) for name in ("count", "table")}
+    for suite, parser in _subcommands(commands["verify"]).items():
+        out[suite] = (["verify", suite], parser)
+    return out
+
+
+def test_a_flag_is_taken_only_as_spelled(capsys):
+    # argparse's prefix matching would read --n as --nu (F_9), --meth as
+    # --method and --bud as --budget, --mm as phis's --mmax
+    count = ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1")
+    for argv in [
+        ("count", "--p", "3", "--n", "2", "--coeffs", "1,1,1", "--P", "1"),
+        (*count, "--meth", "brute"),
+        (*count, "--bud", "5"),
+        ("verify", "phis", "--p", "3", "--mm", "1"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    # every proper prefix of a long option, unless an option itself, is refused
+    form = ["--p", "3", "--coeffs", "1,1,1", "--P", "1"]
+    for name, (head, parser) in _commands().items():
+        base = head + (form if name in ("count", "table") else ["--p", "3"])
+        options = set(parser._option_string_actions)
+        prefixes = {o[:end] for o in options if o.startswith("--") for end in range(3, len(o))} - options
+        assert prefixes
+        for prefix in sorted(prefixes):
+            assert run(capsys, *base, prefix, "1")[0] == 2, (name, prefix)
+
+
+def test_each_suite_takes_exactly_its_parameters():
+    commands = _commands()
+    common = {a.dest for a in commands["count"][1]._actions} - {"coeffs", "gram", "P_values", "method"}
+    for name, fn in SUITES.items():
+        parser = commands[name][1]
+        bounds = {a.dest: a.default for a in parser._actions if a.dest not in common}
+        params = inspect.signature(fn).parameters.values()
+        assert bounds == {p.name: p.default for p in params if p.name not in ("ctx", "budget")}, name
+        assert {a.option_strings[0] for a in parser._actions if a.dest in bounds} == {f"--{b}" for b in bounds}
+
+
+def test_q_flag_takes_any_odd_prime_power(capsys):
+    # q is split by integer roots, not trial division: (10^9 + 7)^2 would take 10^9 divisions
+    big = 10000000000000061
+    for q, p, nu in [(3, 3, 1), (9, 3, 2), (3**20, 3, 20), (5**7, 5, 7), (big, big, 1), ((10**9 + 7) ** 2, 10**9 + 7, 2)]:
+        assert _prime_power(str(q)) == (p, nu)
+    for q in (1, 2, 12, 15, 2**10):
+        with pytest.raises(UsageError, match="must be an odd prime power"):
+            _prime_power(str(q))
+    code, out, _ = run(capsys, "count", "--q", str(big), "--coeffs", "1,1,1", "--P", "1")
+    assert code == 0
+    (row,) = json.loads(out)["data"]
+    assert row["q"] == big and row["value"] == count_exact(QuadForm(FieldCtx(big), (1, 1, 1)), 1)
 
 
 def test_count_rows_encode_coefficients(capsys):
@@ -152,7 +219,10 @@ def test_one_parser_keeps_no_state_between_calls(capsys):
 def test_verify_refuses_an_empty_or_negative_grid(capsys, argv):
     code, out, err = run(capsys, "verify", argv[0], "--p", "3", *argv[1:])
     assert code == 2 and out == ""
-    assert err.startswith("error: verify ")
+    if argv[-1] == "-1":  # the bound's converter refuses before the suite runs
+        assert err == "error: argument --maxdeg: expected an integer >= 0, got '-1'\n"
+    else:
+        assert err == f"error: verify {argv[0]} has no instances at these bounds\n"
 
 
 def test_emitter_writes_counts_of_any_length(capsys):
@@ -306,6 +376,8 @@ def test_prime_field_modulus_is_the_one_model(capsys):
     code, out, _ = run(capsys, "count", "--p", "3", "--modulus", "2,1", "--coeffs", "1,1,1", "--P", "1")
     assert code == 0
     assert json.loads(out)["spec"]["modulus"] == [0, 1]
+    code, _, err = run(capsys, "count", "--p", "3", "--modulus", "1,x", "--coeffs", "1,1,1", "--P", "1")
+    assert code == 2 and err == "error: argument --modulus: expected a comma list of integers, got '1,x'\n"
 
 
 def test_q_flag_extension_field(capsys):

@@ -46,6 +46,10 @@ JOBS = [
     # an all-zero diagonal: x_0 -> x_0 + x_off runs twice
     ["table", "--p", "3", "--gram", "0,1,0,0;1,0,0,0;0,0,0,1;0,0,1,0", "--P-range", "1..2", "--method", "exact,conv"],
     ["count", "--q", "9", "--gram", "0,[0 1],0;[0 1],0,0;0,0,[2 2]", "--P", "1", "--method", "exact,brute"],
+    # a suite's flag defaults are its signature's defaults
+    ["verify", "phis", "--p", "3"],
+    # --budget reaches the suites that take one
+    ["verify", "counts", "--p", "3", "--nmax", "3", "--pmax", "1", "--budget", "10"],
 ]
 
 

@@ -209,3 +209,16 @@ def test_verify_bound_flags_come_from_the_suites():
         if isinstance(node, ast.Constant) and node.value in {f"--{name}" for name in params}
     ]
     assert spelled == []
+
+
+def test_cli_builds_parsers_only_as_parser():
+    """Every parser in ``cli.py``, a parent parser included, is a ``_Parser``,
+    which takes a flag only as spelled: no ``argparse.ArgumentParser(...)``
+    call can bring back prefix matching (``--n`` read as ``--nu``)."""
+
+    def builds_argument_parser(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and getattr(func, "attr", getattr(func, "id", None)) == "ArgumentParser"
+
+    tree = ast.parse((ROOT / "cli.py").read_text())
+    assert [f"cli.py:{node.lineno}" for node in ast.walk(tree) if builds_argument_parser(node)] == []
