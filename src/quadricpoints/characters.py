@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycInt
 from .field import FieldCtx
 from .polyring import Poly, enumerate_below
 
@@ -76,18 +75,20 @@ def ball_integral(ctx: FieldCtx, M: int, depth: int, functional) -> Fraction:
 
     When depth + M <= 0 the index range is empty and its one tail is zero,
     so this is q**M * functional(0): the functional is constant on the
-    whole ball.  The result is a Fraction; a total outside the rationals
+    whole ball.  `functional` is called once per tail and once more at
+    t**depth; the result is a Fraction, and a total outside the rationals
     raises ValueError.
     """
     if M > 0:
         raise ValueError("only balls inside the integers are supported")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    tails = tails_supported(ctx, 1 - M, depth)
+    total = functional(next(tails))  # the zero tail comes first
     # spot-check that the integrand really is constant below its declared depth
-    if functional(Poly.t_power(ctx, depth)) != functional(Poly.zero(ctx)):
+    if functional(Poly.t_power(ctx, depth)) != total:
         raise RuntimeError(f"integrand varies at depth {depth + 1}, deeper than declared")
-    total = CycInt.zero(ctx.p)
-    for tail in tails_supported(ctx, 1 - M, depth):
+    for tail in tails:
         total = total + functional(tail)
     value = total.to_int()
     if value is None:

@@ -49,6 +49,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand's name comes before its flags; name the flag that came first
+        args = sys.argv[1:] if args is None else args
+        subcommand = [a.dest for a in self._actions if isinstance(a, argparse._SubParsersAction)]
+        if subcommand and args[:1] and args[0].startswith("-") and args[0] not in self._option_string_actions:
+            self.error(f"{args[0]} came before the {subcommand[0]}: the {subcommand[0]} name comes first")
+        return super().parse_known_args(args, namespace)
+
 
 # ---------------------------------------------------------------------------
 # flag parsing helpers

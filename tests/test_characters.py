@@ -141,6 +141,17 @@ def test_ball_integral_shortcut_region(F3):
             ball_integral(F3, M, 2, lambda tail: CycInt.root_power(3, 1))
 
 
+def test_ball_integral_evaluates_each_tail_once():
+    # one call per tail on indices (-M, depth], the depth spot-check's t^depth
+    # the only extra; depth + M <= 0 collapses the ball to its zero tail
+    for ctx in FIELDS.values():
+        for M, depth in [(0, 0), (-3, 2), (-2, 2), (-1, 2), (0, 1), (0, 2), (-1, 3)]:
+            calls = []
+            val = ball_integral(ctx, M, depth, lambda tail: calls.append(tail) or CycInt.from_int(ctx.p, 1))
+            assert val == Fraction(1, ctx.q ** -M)
+            assert len(calls) == ctx.q ** max(0, depth + M) + 1
+
+
 def test_ball_integral_depth_guard(F3):
     # a functional that secretly reads past its declared depth is rejected
     cheat = Poly.t_power(F3, 2)  # needs depth 3

@@ -102,6 +102,21 @@ def test_verify_names_the_flags_it_does_not_take(capsys):
     assert err == "error: unrecognized arguments: --nmax 4 --maxdeg 9\n"
 
 
+def test_verify_takes_the_suite_first(capsys):
+    # a field flag before the suite is named, with the rule it breaks
+    for argv in [("verify", "--p", "3"), ("verify", "--p", "3", "weyl"), ("verify", "--q", "9", "gauss")]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+        assert argv[1] in err and "suite" in err
+    # a misspelt suite keeps argparse's line, and --help still prints help
+    code, _, err = run(capsys, "verify", "wyl", "--p", "3")
+    assert code == 2 and err.startswith("error: argument suite: invalid choice: 'wyl'")
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--help"])
+    assert exit_.value.code == 0 and capsys.readouterr().out.startswith("usage: quadricpoints verify")
+
+
 def _subcommands(parser) -> dict:
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices

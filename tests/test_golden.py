@@ -1,8 +1,11 @@
 """CLI output frozen byte for byte: exit code, stderr and the document minus ``meta``.
 
 ``golden_cli.json`` was written by an earlier, trusted version of the code.
-Regenerate it (``PYTHONPATH=src python tests/test_golden.py``) only when an
-output change is intended, and say so in the change log.
+``PYTHONPATH=src python tests/test_golden.py`` only appends: it keeps every
+record already in the fixture and runs the jobs past its end, so a new job
+is recorded without re-recording an old one.  To change a record on
+purpose, delete it and every record after it, regenerate, and list the
+change in the change log.
 """
 
 import io
@@ -50,6 +53,9 @@ JOBS = [
     ["verify", "phis", "--p", "3"],
     # --budget reaches the suites that take one
     ["verify", "counts", "--p", "3", "--nmax", "3", "--pmax", "1", "--budget", "10"],
+    # exact at n = 1 (N = 1, no morphisms) and on a split plane (N = 2q^P - 1)
+    ["table", "--p", "5", "--coeffs", "2", "--P-range", "1..3", *ALL],
+    ["table", "--q", "9", "--coeffs", "1,1", "--P-range", "1..2", *ALL],
 ]
 
 
@@ -75,5 +81,7 @@ def test_cli_output_matches_golden(index):
 
 
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps([run(job) for job in JOBS], indent=1) + "\n")
+    records = json.loads(FIXTURE.read_text())
+    records += [run(job) for job in JOBS[len(records):]]
+    FIXTURE.write_text(json.dumps(records, indent=1) + "\n")
     sys.exit(0)
