@@ -10,7 +10,7 @@ circle-method reassembly built from character sums.
 Layers, bottom to top:
 
 * :mod:`quadricpoints.field`      - arithmetic in F_q, q an odd prime power
-* :mod:`quadricpoints.polyring`   - F_q[t]: factorization, phi, Moebius
+* :mod:`quadricpoints.polyring`   - F_q[t]: factor types, phi, Moebius
 * :mod:`quadricpoints.forms`      - diagonal forms, case tags, derived counts
 * :mod:`quadricpoints.cyclotomic` - exact integer arithmetic in Z[zeta_p]
 * :mod:`quadricpoints.characters` - additive characters and ball integrals
@@ -48,12 +48,11 @@ from .oracle import (
     convolution_count,
 )
 from .polyring import (
-    Factorization,
     Poly,
     enumerate_below,
     enumerate_monic,
     euler_phi,
-    factorize,
+    factor_type,
     irreducibles,
     moebius,
     poly_from_encoding,
@@ -66,10 +65,9 @@ __version__ = "0.1.0"
 __all__ = [
     "FieldCtx",
     "Poly",
-    "Factorization",
     "poly_gcd",
     "poly_from_encoding",
-    "factorize",
+    "factor_type",
     "euler_phi",
     "moebius",
     "enumerate_below",

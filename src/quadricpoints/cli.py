@@ -65,12 +65,18 @@ class _Parser(argparse.ArgumentParser):
 def _parse_element(ctx: FieldCtx, token: str) -> int:
     """An F_q element: an integer for nu = 1, '[c0 c1 ...]' otherwise."""
     token = token.strip()
-    if token.startswith("["):
-        if not token.endswith("]"):
-            raise UsageError(f"unbalanced brackets in element {token!r}")
-        parts = token[1:-1].split()
-        return ctx.from_coeffs(int(p) % ctx.p for p in parts)
-    value = int(token)
+    bracketed = token.startswith("[")
+    if bracketed and not token.endswith("]"):
+        raise UsageError(f"unbalanced brackets in element {token!r}")
+    try:
+        values = [int(c) for c in (token[1:-1].split() if bracketed else [token])]
+    except ValueError:
+        raise UsageError(f"cannot read element {token!r}: write an integer or '[c0 c1 ...]'") from None
+    if bracketed:
+        if len(values) > ctx.nu:
+            raise UsageError(f"element {token!r} has {len(values)} coordinates; F_{ctx.q} takes at most {ctx.nu}")
+        return ctx.from_coeffs(c % ctx.p for c in values)
+    (value,) = values
     if ctx.nu == 1:
         return value % ctx.p
     if not 0 <= value < ctx.q:
@@ -281,7 +287,6 @@ def _make_parser() -> argparse.ArgumentParser:
     field.add_argument("--q", type=_prime_power, help="field size p^nu (alternative to --p/--nu)")
     common.add_argument("--nu", type=int, help="extension degree (default 1)")
     common.add_argument("--modulus", type=_modulus, help="comma list of F_p coefficients, low to high")
-    common.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET, help="enumeration budget (evaluations)")
     common.add_argument("--emit", choices=["json", "csv"], default="json")
     # kept for argv lists that still pass it; benchmark v2 (ROADMAP item 1) deletes it
     common.add_argument("--jobs", type=int, default=1, help="accepted and ignored: cells run in order")
@@ -294,6 +299,7 @@ def _make_parser() -> argparse.ArgumentParser:
     box.add_argument("--P", dest="P_values", metavar="P", type=lambda text: [_integer(text)], help="box exponent")
     box.add_argument("--P-range", dest="P_values", metavar="LO..HI", type=_P_range, help="inclusive P range")
     form_args.add_argument("--method", type=_methods, default="exact", help=f"comma list of: {','.join(METHODS)}")
+    form_args.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET, help="enumeration budget (evaluations)")
 
     parser = _Parser(
         prog="quadricpoints",
@@ -304,12 +310,12 @@ def _make_parser() -> argparse.ArgumentParser:
     sub.add_parser("table", parents=[common, form_args], help="N / primitive / morphism table")
     p_verify = sub.add_parser("verify", help="run an identity suite")
     suites = p_verify.add_subparsers(dest="suite", required=True, help="the identity suite to run")
-    natural = functools.partial(_integer, least=0)
     for name, params in _SUITE_PARAMS.items():
         p_suite = suites.add_parser(name, parents=[common])
         for bound, default in params.items():
-            if bound not in ("ctx", "budget"):
-                p_suite.add_argument(f"--{bound}", type=natural, default=default, help=f"default {default}")
+            if bound != "ctx":  # a budget is >= 1, a grid bound >= 0
+                bound_type = functools.partial(_integer, least=1 if bound == "budget" else 0)
+                p_suite.add_argument(f"--{bound}", type=bound_type, default=default, help=f"default {default}")
     return parser
 
 

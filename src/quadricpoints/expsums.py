@@ -36,9 +36,9 @@ from .forms import CaseTag, QuadForm, classify
 from .polyring import (
     Poly,
     enumerate_below,
-    euler_phi,
-    factorize,
+    factor_type,
     is_irreducible,
+    phi_of_type,
     poly_gcd,
     _legendre,
 )
@@ -138,12 +138,13 @@ def local_factor_closed(f: QuadForm, r: Poly) -> int:
     Odd n:   phi(r) * |r|^(n/2) when r is a square, else 0.
     """
     _require_monic(r)
-    fac = factorize(r)
+    ftype = factor_type(r)
     rho = len(r.coeffs) - 1
-    size = euler_phi(r, fac) * f.ctx.q ** (rho * f.n // 2)  # odd n keeps it only at even rho
+    q = f.ctx.q
+    size = phi_of_type(q, ftype) * q ** (rho * f.n // 2)  # odd n keeps it only at even rho
     tag = classify(f)
     if tag is CaseTag.ODD:
-        return size if fac.is_square() else 0
+        return size if all(k % 2 == 0 for _, k in ftype) else 0
     return tag.epsilon**rho * size
 
 

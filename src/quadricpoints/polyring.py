@@ -1,4 +1,4 @@
-"""The polynomial ring F_q[t]: arithmetic, factorization, multiplicative maps.
+"""The polynomial ring F_q[t]: arithmetic, factor types, multiplicative maps.
 
 Polynomials are immutable, little-endian coefficient tuples over a
 :class:`~quadricpoints.field.FieldCtx`.
@@ -6,13 +6,14 @@ Polynomials are immutable, little-endian coefficient tuples over a
 Conventions used throughout:
 
 * gcds are monic (gcd(0, 0) is an error),
-* factorizations are ``unit * prod(pi_i ** k_i)`` with monic irreducible
-  pi_i listed in a canonical order (degree, then coefficient encoding).
+* the factor type of a nonzero f is the sorted tuple of (deg pi, k), one
+  pair per monic irreducible pi with pi^k exactly dividing f.  phi, mu and
+  squareness depend on f only through it, so no factor itself is found:
+  a squarefree split gives the multiplicities and a distinct-degree pass
+  the degrees.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .field import FieldCtx, power
 
@@ -192,7 +193,7 @@ class Poly:
         return bool(self.coeffs)
 
     def encoding(self) -> int:
-        """Integer encoding sum(c_i * q**i); total order used for canonical sorting."""
+        """Integer encoding sum(c_i * q**i), the inverse of poly_from_encoding."""
         q = self.ctx.q
         enc = 0
         for i, c in enumerate(self.coeffs):
@@ -232,18 +233,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# factorization and irreducibility
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """unit * prod(pi ** k) with monic irreducible pi in canonical order."""
-
-    unit: int
-    factors: tuple  # tuple[tuple[Poly, int], ...]
-
-    def is_square(self) -> bool:
-        return all(k % 2 == 0 for _, k in self.factors)
+# factor type and irreducibility
 
 
 def _pth_root(f: Poly) -> Poly:
@@ -256,6 +246,30 @@ def _pth_root(f: Poly) -> Poly:
         # the p-th root of c in F_q is c^(p^(nu-1))
         out.append(ctx.pow(c, p ** (ctx.nu - 1)))
     return Poly(ctx, out)
+
+
+def _squarefree_parts(f: Poly, k: int = 1):
+    """Yield (w, k * e): w the product of the irreducible factors of multiplicity e in monic f.
+
+    Each w is monic, squarefree and nonconstant.  c = gcd(f, f') keeps
+    e - 1 copies of a factor with p not dividing e and all e copies of
+    one with p | e; after the loop c holds only the latter, and is a
+    p-th power.
+    """
+    deriv = f.derivative()
+    if deriv.is_zero():  # f = h(t)^p for the p-th root h
+        if f.deg >= 1:
+            yield from _squarefree_parts(_pth_root(f), k * f.ctx.p)
+        return
+    c = poly_gcd(f, deriv)
+    w = f // c  # the factors whose multiplicity p does not divide
+    e = 1
+    while w.deg >= 1:
+        y = poly_gcd(w, c)  # those of multiplicity > e
+        if y.deg < w.deg:
+            yield w // y, k * e
+        w, c, e = y, c // y, e + 1
+    yield from _squarefree_parts(c, k)
 
 
 def _distinct_degree_parts(w: Poly):
@@ -279,41 +293,18 @@ def _distinct_degree_parts(w: Poly):
         yield w, w.deg
 
 
-def _equal_degree_factors(g: Poly, d: int) -> list:
-    """The irreducible factors of g, monic squarefree with all factors of degree d.
+def factor_type(f: Poly) -> tuple:
+    """The sorted (degree, multiplicity) pairs of the monic irreducible factors of nonzero f.
 
-    Splits by gcd(a, g), then gcd(a^((q^d - 1)/2) - 1, g), at the first a of
-    degree 1 to deg g - 1 in encoding order that splits; some a is divisible
-    by one factor of g and not by another, so some a splits a reducible g.
+    A distinct-degree part of degree m * d holds m factors of degree d.
     """
-    if g.deg == d:
-        return [g]
-    ctx = g.ctx
-    exponent = (ctx.q**d - 1) // 2
-    for a in enumerate_below(ctx, g.deg):
-        if a.deg < 1:
-            continue
-        s = poly_gcd(a, g)
-        if s.is_one():
-            s = poly_gcd(pow(a, exponent, g) - Poly.one(ctx), g)  # gcd(0, g) = g
-        if 0 < s.deg < g.deg:
-            return _equal_degree_factors(s, d) + _equal_degree_factors(g // s, d)
-    raise RuntimeError("no polynomial below the degree split an equal-degree product")
-
-
-def _add_factors(f: Poly, k: int, counts: dict) -> None:
-    """Add k times its multiplicity in monic f to the count of each irreducible factor."""
-    if f.deg < 1:
-        return
-    deriv = f.derivative()
-    if deriv.is_zero():  # f = h(t)^p for the p-th root h
-        return _add_factors(_pth_root(f), k * f.ctx.p, counts)
-    g = poly_gcd(f, deriv)
-    # f / g is squarefree: the factors whose multiplicity p does not divide
-    for part, d in _distinct_degree_parts(f // g):
-        for pi in _equal_degree_factors(part, d):
-            counts[pi] = counts.get(pi, 0) + k
-    _add_factors(g, k, counts)
+    if f.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    pairs = []
+    for w, e in _squarefree_parts(f.monic()):
+        for g_d, d in _distinct_degree_parts(w):
+            pairs += [(d, e)] * (g_d.deg // d)
+    return tuple(sorted(pairs))
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -326,46 +317,29 @@ def is_irreducible(f: Poly) -> bool:
     return next(_distinct_degree_parts(f.monic()))[1] == f.deg
 
 
-def factorize(f: Poly) -> Factorization:
-    """Canonical factorization of a nonzero polynomial.
-
-    Deterministic: the equal-degree splitting searches its splitting
-    polynomials in encoding order.  The factor list is sorted by
-    (degree, coefficient encoding).
-    """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    counts: dict[Poly, int] = {}
-    _add_factors(f.monic(), 1, counts)
-    factors = tuple(sorted(counts.items(), key=lambda it: (it[0].deg, it[0].encoding())))
-    return Factorization(unit=f.lead, factors=factors)
-
-
 # ---------------------------------------------------------------------------
-# multiplicative functions
+# multiplicative functions, read from the factor type
 
 
-def euler_phi(r: Poly, fac: Factorization | None = None) -> int:
-    """#(F_q[t]/r)^x for nonzero r; units give 1."""
-    if r.is_zero():
-        raise ValueError("euler_phi of zero")
-    if fac is None:
-        fac = factorize(r)
-    q = r.ctx.q
+def phi_of_type(q: int, ftype) -> int:
+    """phi of a polynomial over F_q of factor type ftype: prod (q^d - 1) q^(d(k-1))."""
     out = 1
-    for pi, k in fac.factors:
-        size = q ** (len(pi.coeffs) - 1)
+    for d, k in ftype:
+        size = q**d
         out *= (size - 1) * size ** (k - 1)
     return out
 
 
+def euler_phi(r: Poly) -> int:
+    """#(F_q[t]/r)^x for nonzero r; units give 1."""
+    return phi_of_type(r.ctx.q, factor_type(r))
+
+
 def moebius(r: Poly) -> int:
-    if r.is_zero():
-        raise ValueError("moebius of zero")
-    fac = factorize(r)
-    if any(k >= 2 for _, k in fac.factors):
+    ftype = factor_type(r)
+    if any(k >= 2 for _, k in ftype):
         return 0
-    return -1 if len(fac.factors) % 2 else 1
+    return -1 if len(ftype) % 2 else 1
 
 
 def _legendre(a: Poly, pi: Poly) -> int:
@@ -415,7 +389,7 @@ def enumerate_monic(ctx: FieldCtx, d: int):
 
 
 def irreducibles(ctx: FieldCtx, d: int):
-    """Monic irreducibles of degree d in canonical order."""
+    """Monic irreducibles of degree d in encoding order."""
     for f in enumerate_monic(ctx, d):
         if is_irreducible(f):
             yield f

@@ -100,6 +100,23 @@ def test_verify_names_the_flags_it_does_not_take(capsys):
     code, _, err = run(capsys, "verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1")
     assert code == 2
     assert err == "error: unrecognized arguments: --nmax 4 --maxdeg 9\n"
+    # only a suite whose signature has a budget takes --budget
+    code, out, err = run(capsys, "verify", "phis", "--p", "3", "--budget", "10")
+    assert (code, out, err) == (2, "", "error: unrecognized arguments: --budget 10\n")
+
+
+def test_a_bad_element_is_named_with_the_accepted_forms(capsys):
+    for argv, token in [
+        (("count", "--p", "3", "--coeffs", "1,x", "--P", "1"), "'x'"),
+        (("count", "--p", "3", "--gram", "1,x;x,1", "--P", "1"), "'x'"),
+        (("count", "--q", "9", "--coeffs", "[1 x],1,1", "--P", "1"), "'[1 x]'"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: cannot read element {token}: write an integer or '[c0 c1 ...]'\n", argv
+    # a bracketed element with more coordinates than nu is named too
+    code, _, err = run(capsys, "count", "--q", "9", "--coeffs", "[1 1 1],1,1", "--P", "1")
+    assert (code, err) == (2, "error: element '[1 1 1]' has 3 coordinates; F_9 takes at most 2\n")
 
 
 def test_verify_takes_the_suite_first(capsys):
@@ -157,12 +174,12 @@ def test_a_flag_is_taken_only_as_spelled(capsys):
 
 def test_each_suite_takes_exactly_its_parameters():
     commands = _commands()
-    common = {a.dest for a in commands["count"][1]._actions} - {"coeffs", "gram", "P_values", "method"}
+    common = {a.dest for a in commands["count"][1]._actions} - {"coeffs", "gram", "P_values", "method", "budget"}
     for name, fn in SUITES.items():
         parser = commands[name][1]
         bounds = {a.dest: a.default for a in parser._actions if a.dest not in common}
         params = inspect.signature(fn).parameters.values()
-        assert bounds == {p.name: p.default for p in params if p.name not in ("ctx", "budget")}, name
+        assert bounds == {p.name: p.default for p in params if p.name != "ctx"}, name
         assert {a.option_strings[0] for a in parser._actions if a.dest in bounds} == {f"--{b}" for b in bounds}
 
 

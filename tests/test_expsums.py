@@ -16,6 +16,7 @@ from quadricpoints import (
     classify,
     enumerate_below,
     enumerate_monic,
+    factor_type,
     form_exp_sum,
     gauss_sum,
     gauss_sum_prime_power,
@@ -134,6 +135,22 @@ def test_local_factor_prime_power_matches_direct(F3):
     for r in (pi, pi * pi):
         assert local_factor_direct(f4, r) == CycInt.from_int(3, local_factor_closed(f4, r))
         assert local_factor_direct(f3, r) == CycInt.from_int(3, local_factor_closed(f3, r))
+
+
+def test_local_factor_closed_factors_each_modulus_once(monkeypatch, F3):
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return factor_type(r)
+
+    monkeypatch.setattr(expsums, "factor_type", counting)
+    moduli = [r for rho in range(4) for r in enumerate_monic(F3, rho)]
+    for coeffs in ((1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2)):
+        calls.clear()
+        for r in moduli:
+            local_factor_closed(QuadForm(F3, coeffs), r)
+        assert calls == moduli, coeffs
 
 
 def _tuple_sum(f, a, r):
@@ -258,8 +275,8 @@ def test_arc_integral_closed_factors_nothing(monkeypatch, F3, F5):
     expected = [_arc_by_local_factors(f, rho, P) for f, P, rho in cells]
 
     def refuse(r):
-        raise RuntimeError("arc_integral_closed called factorize")
+        raise RuntimeError("arc_integral_closed called factor_type")
 
-    monkeypatch.setattr(expsums, "factorize", refuse)
+    monkeypatch.setattr(expsums, "factor_type", refuse)
     got = [arc_integral_closed(f, Poly.t_power(f.ctx, rho), P) for f, P, rho in cells]
     assert got == expected

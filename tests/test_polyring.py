@@ -1,4 +1,4 @@
-"""Polynomial ring over F_q: arithmetic, factorization, phi, Moebius."""
+"""Polynomial ring over F_q: arithmetic, factor types, phi, Moebius."""
 
 import random
 
@@ -13,7 +13,7 @@ from quadricpoints import (
     enumerate_below,
     enumerate_monic,
     euler_phi,
-    factorize,
+    factor_type,
     irreducibles,
     moebius,
     poly_from_encoding,
@@ -28,14 +28,6 @@ FIELDS = {3: FieldCtx(3), 5: FieldCtx(5), 7: FieldCtx(7), 9: FieldCtx(3, 2)}
 def _random_poly(ctx, rng, maxdeg):
     d = rng.randrange(maxdeg + 1)
     return Poly(ctx, [rng.randrange(ctx.q) for _ in range(d + 1)])
-
-
-def _expand(fac, ctx):
-    """unit * prod(pi ** k) of a factorization."""
-    out = Poly.constant(ctx, fac.unit)
-    for pi, k in fac.factors:
-        out = out * pi**k
-    return out
 
 
 def test_construction_and_degree(F3):
@@ -135,31 +127,12 @@ def test_irreducible_counts(F3, F5, F9):
             assert got == expected(ctx.q, d), (ctx.q, d)
 
 
-def test_factorize_round_trip_exhaustive_deg3(F3):
-    for enc in range(1, 3**4):
-        f = poly_from_encoding(F3, enc)
-        fac = factorize(f)
-        assert _expand(fac, F3) == f
-        for pi, _ in fac.factors:
-            assert pi.is_monic() and is_irreducible(pi)
-
-
 @st.composite
 def nonzero_polys(draw):
     """A nonzero polynomial of degree <= 8 over F_3, F_5, F_7 or F_9."""
     ctx = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
     coeffs = draw(st.lists(st.integers(0, ctx.q - 1), max_size=8))
     return Poly(ctx, coeffs + [draw(st.integers(1, ctx.q - 1))])
-
-
-@given(nonzero_polys())
-def test_factorize_round_trip(f):
-    fac = factorize(f)
-    assert _expand(fac, f.ctx) == f
-    for pi, k in fac.factors:
-        assert k >= 1 and pi.is_monic() and is_irreducible(pi)
-    keys = [(len(pi.coeffs), pi.encoding()) for pi, _ in fac.factors]
-    assert keys == sorted(set(keys))
 
 
 @given(nonzero_polys().filter(lambda f: f.ctx.nu == 1))
@@ -169,20 +142,14 @@ def test_factorize_matches_sympy(f):
     theirs_poly = sympy.Poly(list(reversed(f.coeffs)), t, modulus=p)
     # sympy calls constants irreducible; here they are not
     assert is_irreducible(f) == (f.deg >= 1 and theirs_poly.is_irreducible)
-    unit, factors = theirs_poly.factor_list()
-    # sympy writes residues symmetrically, in (-p/2, p/2]
-    theirs = sorted(
-        (tuple(int(c) % p for c in reversed(g.all_coeffs())), k) for g, k in factors
-    )
-    fac = factorize(f)
-    assert int(unit) % p == fac.unit
-    assert sorted((pi.coeffs, k) for pi, k in fac.factors) == theirs
+    _, factors = theirs_poly.factor_list()
+    assert factor_type(f) == tuple(sorted((g.degree(), k) for g, k in factors))
 
 
 def _trial_division_factors(f, irreducibles_by_degree):
-    """(pi, k) for the monic irreducible factors pi of f, in canonical order.
+    """(pi, k) for the monic irreducible factors pi of f, by degree, then encoding.
 
-    Divides out each irreducible of degree <= deg(rest)/2 in canonical order.
+    Divides out each irreducible of degree <= deg(rest)/2 in that order.
     """
     rest, out = f.monic(), []
     for d in range(1, rest.deg // 2 + 1):
@@ -218,51 +185,42 @@ def test_factorize_matches_trial_division(p, nu, maxdeg):
     for d in range(1, maxdeg + 1):
         for f in enumerate_monic(ctx, d):
             reference = _trial_division_factors(f, found)
-            assert list(factorize(f).factors) == reference, f
+            assert factor_type(f) == tuple(sorted((pi.deg, k) for pi, k in reference)), f
             assert is_irreducible(f) == (reference == [(f, 1)]), f
+            # phi and mu from the factors themselves
+            phi = 1
+            for pi, k in reference:
+                phi *= (ctx.q**pi.deg - 1) * ctx.q ** (pi.deg * (k - 1))
+            assert euler_phi(f) == phi, f
+            squarefree = all(k == 1 for _, k in reference)
+            assert moebius(f) == ((-1) ** len(reference) if squarefree else 0), f
 
 
 def test_factorize_repeated_and_derivative_zero(F3):
     t = Poly.gen(F3)
-    # (t+1)^3 = t^3 + 1 has zero derivative in characteristic 3
-    f = (t + Poly.one(F3)) ** 3
-    fac = factorize(f)
-    assert fac.factors == (((t + Poly.one(F3)), 3),)
-    g = (t**3 - t) * (t**3 - t)  # squarefull with three distinct roots
-    fac2 = factorize(g)
-    assert _expand(fac2, F3) == g
-    assert all(k == 2 for _, k in fac2.factors)
-    # multiplicities p^2 (the p-th root is taken twice), p and 2p
     one = Poly.one(F3)
-    assert factorize((t + one) ** 9).factors == ((t + one, 9),)
-    assert factorize(t**3 * (t**2 + one) ** 6).factors == ((t, 3), (t**2 + one, 6))
+    # (t+1)^3 = t^3 + 1 has zero derivative in characteristic 3
+    assert factor_type((t + one) ** 3) == ((1, 3),)
+    g = (t**3 - t) * (t**3 - t)  # squarefull with three distinct roots
+    assert factor_type(g) == ((1, 2),) * 3
+    # multiplicities p^2 (the p-th root is taken twice), p and 2p
+    assert factor_type((t + one) ** 9) == ((1, 9),)
+    assert factor_type(t**3 * (t**2 + one) ** 6) == ((1, 3), (2, 6))
+    # p + 1 and 2p + 1 beside a factor of multiplicity p, and a unit that is not 1
+    assert factor_type(Poly.constant(F3, 2) * t**4 * (t + one) ** 3 * (t**2 + one) ** 7) == ((1, 3), (1, 4), (2, 7))
     # p^2 with a coefficient outside F_3, then p and p + 1 over F_27
     F9, F27 = FIELDS[9], FieldCtx(3, 3)
     a = Poly.gen(F9) + Poly.constant(F9, 3)
     b, c = Poly.gen(F27) + Poly.constant(F27, 3), Poly.gen(F27) + Poly.constant(F27, 9)
-    assert factorize(a**9).factors == ((a, 9),)
-    assert factorize(b**3 * c**4).factors == ((b, 3), (c, 4))
+    assert factor_type(a**9) == ((1, 9),)
+    assert factor_type(b**3 * c**4) == ((1, 3), (1, 4))
     assert not is_irreducible(a**9) and not is_irreducible(b**3 * c**4)
-
-
-def test_factorize_is_deterministic(F5):
-    rng = random.Random(13)
-    for _ in range(20):
-        f = _random_poly(F5, rng, 6)
-        if f.is_zero():
-            continue
-        a = factorize(f)
-        b = factorize(f)
-        assert a.unit == b.unit and a.factors == b.factors
-
-
-def test_factorize_extension_field(F9):
-    rng = random.Random(99)
-    for _ in range(10):
-        f = _random_poly(F9, rng, 4)
-        if f.is_zero():
-            continue
-        assert _expand(factorize(f), F9) == f
+    # multiplicity 2p over F_9 (under a unit outside F_3) and F_27, and p + 1 over F_9
+    assert factor_type(Poly.constant(F9, 5) * a**6) == ((1, 6),)
+    assert factor_type(b**6 * c) == ((1, 1), (1, 6))
+    assert factor_type(a**4 * (a + Poly.one(F9)) ** 3) == ((1, 3), (1, 4))
+    with pytest.raises(ValueError):
+        factor_type(Poly.zero(F3))
 
 
 def test_euler_phi(F3):
