@@ -95,8 +95,8 @@ def _split_elements(s: str) -> list[str]:
 
 
 def _integer(text: str, least: int = 1) -> int:
-    """An integer flag: >= 1 for ``--P``, an end of ``--P-range``, ``--budget``
-    or ``--q``, >= 0 for a verify bound."""
+    """An integer flag: >= 1 for ``--P``, an end of ``--P-range``, ``--budget``,
+    ``--q`` or ``--jobs``, >= 0 for a verify bound."""
     value = int(text) if text.strip().isdecimal() else -1
     if value < least:
         raise UsageError(f"expected an integer >= {least}, got {text!r}")
@@ -289,7 +289,7 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--modulus", type=_modulus, help="comma list of F_p coefficients, low to high")
     common.add_argument("--emit", choices=["json", "csv"], default="json")
     # kept for argv lists that still pass it; benchmark v2 (ROADMAP item 1) deletes it
-    common.add_argument("--jobs", type=int, default=1, help="accepted and ignored: cells run in order")
+    common.add_argument("--jobs", type=_integer, default=1, help="accepted and ignored: cells run in order")
 
     form_args = _Parser(add_help=False)
     form = form_args.add_mutually_exclusive_group(required=True)

@@ -10,12 +10,12 @@ The hierarchy, for a diagonal form f = a_1 X_1^2 + ... + a_n X_n^2 (a
 :class:`~quadricpoints.forms.QuadForm`, whose case tag ``classify``
 gives the sign eps of the closed local factors):
 
-* ``twisted_gauss_sum(a, r)``      sum psi(a x^2 / r) over residues x
-* ``gauss_sum(r)``                 tau_r, the twisted sum at a = 1
-* ``form_exp_sum(f, a, r)``        the n-variable complete sum, as a product
-* ``local_factor_direct(f, r)``    summed over numerators coprime to r
-* ``weyl_sum(f, a, r, tail, P)``   S(alpha) over the height box |x| < q^P
-* ``arc_integral_direct(f, r, P)`` integral of S over the arc ball at a/r
+* ``twisted_gauss_sum(a, r)``        sum psi(a x^2 / r) over residues x
+* ``gauss_sum(r)``                   tau_r, the twisted sum at a = 1
+* ``form_exp_sum(f, a, r)``          the n-variable complete sum, as a product
+* ``local_factor_direct(f, r)``      summed over numerators coprime to r
+* ``weyl_sum(f, a, r, tail, P)``     S(alpha) over the height box |x| < q^P
+* ``arc_integral_direct(f, rho, P)`` I(rho, P): S integrated over the arc ball at any a/r, deg r = rho
 
 The direct evaluators read every term's character from one tail: alpha =
 a/r + theta is one polynomial in 1/t (see :mod:`~quadricpoints.characters`),
@@ -212,18 +212,17 @@ def weyl_sum(f: QuadForm, a: Poly, r: Poly, tail: Poly, P: int) -> CycInt:
     return _char_sum(alpha, sums(f.n))
 
 
-def arc_integral_direct(f: QuadForm, r: Poly, P: int) -> Fraction:
-    """Integral of S(theta) over the arc ball |theta| < q^(-deg r - P).
+def arc_integral_direct(f: QuadForm, rho: int, P: int) -> Fraction:
+    """I(rho, P): the integral of S(theta) over the arc ball |theta| < q^(-rho - P),
+    the same for every modulus r of degree rho.
 
     Evaluated as an exact finite average of Weyl sums, a rational; S only
     depends on tail indices up to 2P - 1 because deg f(x) <= 2P - 2 on the box.
     """
-    _require_monic(r)
-    rho = len(r.coeffs) - 1
     if P < 1:
         raise ValueError("the box exponent P must be >= 1")
-    if rho > P:
-        raise ValueError("arc integrals are only defined for deg r <= P")
+    if not 0 <= rho <= P:
+        raise ValueError("arc integrals are only defined for 0 <= deg r <= P")
     ctx = f.ctx
     one = Poly.one(ctx)
     zero = Poly.zero(ctx)
@@ -234,21 +233,20 @@ def arc_integral_direct(f: QuadForm, r: Poly, P: int) -> Fraction:
     return ball_integral(ctx, -(rho + P), 2 * P - 1, functional)
 
 
-def arc_integral_closed(f: QuadForm, r: Poly, P: int) -> Fraction:
-    """Closed form of the arc integral as an exact rational.
+def arc_integral_closed(f: QuadForm, rho: int, P: int) -> Fraction:
+    """Closed form of I(rho, P), the arc integral at any modulus of degree
+    rho, as an exact rational.
 
-    For deg r = P the ball is too small for S to oscillate and the value
-    is q^(P(n-2)).  Below that it is q^(P(n-2)+1) T(P - deg r - 1), with
+    For rho = P the ball is too small for S to oscillate and the value
+    is q^(P(n-2)).  Below that it is q^(P(n-2)+1) T(P - rho - 1), with
     T(M) the sum of S_(t^m) q^(-nm) over m <= M.  S_(t^m) is
     eps^m phi(t^m) q^(mn/2) for even n, and for odd n that with eps = 1
     at even m and 0 at odd m, so T is a phi power sum.
     """
-    _require_monic(r)
-    rho = len(r.coeffs) - 1
     if P < 0:
         raise ValueError("the box exponent P must be >= 0")
-    if rho > P:
-        raise ValueError("arc integrals are only defined for deg r <= P")
+    if not 0 <= rho <= P:
+        raise ValueError("arc integrals are only defined for 0 <= deg r <= P")
     q = f.ctx.q
     n = f.n
     if rho == P:

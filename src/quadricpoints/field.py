@@ -213,6 +213,10 @@ class FieldCtx:
             raise ValueError("square class of zero is undefined here")
         return self.pow(a, (self.q - 1) // 2) == 1
 
+    def nonsquare(self) -> int:
+        """The first unit that is not a square: the field's fixed nonsquare."""
+        return next(u for u in self.units() if not self.is_square_unit(u))
+
     # -- misc ---------------------------------------------------------------
 
     def __eq__(self, other):

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .expsums import arc_integral_closed, local_factor_closed
 from .forms import CaseTag, QuadForm, classify, primitive_from_counts
-from .polyring import Poly, enumerate_monic
+from .polyring import enumerate_monic
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +68,19 @@ def count_exact(f: QuadForm, P: int) -> int:
 
 
 def count_circle(f: QuadForm, P: int) -> int:
-    """N(P) reassembled as sum over monic r, deg r <= P, of S_r(f) |r|^(-n) I_r.
+    """N(P) reassembled as sum over monic r, deg r <= P, of S_r(f) |r|^(-n) I(deg r, P).
 
     Works for every n >= 1; the local factors and arc integrals are the
     closed ones, so this is an independent route to the same integer.
     """
     if P < 0:
         raise ValueError("the box exponent P must be >= 0")
-    ctx = f.ctx
-    q = ctx.q
+    q = f.ctx.q
     n = f.n
     total = Fraction(0)
     for rho in range(P + 1):
-        arc = arc_integral_closed(f, Poly.t_power(ctx, rho), P)
-        s_layer = sum(local_factor_closed(f, r) for r in enumerate_monic(ctx, rho))
+        arc = arc_integral_closed(f, rho, P)
+        s_layer = sum(local_factor_closed(f, r) for r in enumerate_monic(f.ctx, rho))
         total += Fraction(s_layer, q ** (n * rho)) * arc
     return _as_int(total, "N(P) from the circle decomposition")
 

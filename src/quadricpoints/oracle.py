@@ -269,8 +269,7 @@ def convolution_count(f: QuadForm, P: int) -> int:
         raise BudgetExceeded(f"no primes l = 1 (mod {p}) with p (l - 1)^2 < 2^63 cover counts up to {bound}")
     n_square = sum(map(ctx.is_square_unit, f.coeffs))
     if n_square < f.n:
-        nonsquare = next(a for a in ctx.units() if not ctx.is_square_unit(a))
-        index = _scaled_index(ctx, nonsquare, K)
+        index = _scaled_index(ctx, ctx.nonsquare(), K)
     hist = np.bincount(_undigits(_box_squares(ctx, P), q), minlength=G)
     count, modulus = 0, 1
     for l in moduli:

@@ -72,13 +72,9 @@ def _record(rid: str, **sides) -> dict:
     return {"id": rid, "ok": False, **{k: _json_value(v) for k, v in sides.items()}}
 
 
-def _first_nonsquare(ctx: FieldCtx) -> int:
-    return next(u for u in ctx.units() if not ctx.is_square_unit(u))
-
-
 def _form_family(ctx: FieldCtx, nmax: int):
     """Small deterministic family covering every case tag per n."""
-    c = _first_nonsquare(ctx)
+    c = ctx.nonsquare()
     for n in range(1, nmax + 1):
         yield QuadForm(ctx, (1,) * n)
         if n > 1:
@@ -170,8 +166,8 @@ def suite_arcs(ctx: FieldCtx, nmax: int = 3, pmax: int = 2) -> list[dict]:
         for P in range(1, pmax + 1):
             for rho in range(0, P + 1):
                 for r in enumerate_monic(ctx, rho):
-                    lhs = arc_integral_direct(f, r, P)
-                    rhs = arc_integral_closed(f, r, P)
+                    lhs = arc_integral_direct(f, rho, P)
+                    rhs = arc_integral_closed(f, rho, P)
                     out.append(_record(f"arc[n={n},r={r},P={P}]", lhs=lhs, rhs=rhs))
     return out
 

@@ -76,6 +76,8 @@ def test_usage_errors(capsys):
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P-range", "1:2"),  # only 'lo..hi'
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--method", "brute", "--budget", "-5"),
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--method", "brute", "--budget", "0"),
+        ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--jobs", "0"),
+        ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--jobs", "-3"),
         ("verify", "nosuch", "--p", "3"),
         ("verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1"),
         ("verify", "phis", "--p", "5", "--pmax", "5"),

@@ -127,6 +127,13 @@ def test_squares_split_units_in_half(F3, F5, F9):
         assert set(squares) == {ctx.mul(b, b) for b in ctx.units()}
 
 
+def test_nonsquare_is_the_least_unit_outside_the_squares():
+    for p, nu in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)):
+        ctx = FieldCtx(p, nu)
+        squares = {ctx.mul(b, b) for b in ctx.units()}
+        assert ctx.nonsquare() == min(set(ctx.units()) - squares), ctx.q
+
+
 def test_is_square_unit_rejects_zero(F3):
     with pytest.raises(ValueError):
         F3.is_square_unit(0)

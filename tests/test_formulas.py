@@ -100,7 +100,7 @@ def test_morphism_anchors(key, expected):
 def test_count_circle_agrees_with_exact():
     # every case tag for n = 3..6 over prime and non-prime fields, from N(0) = 1 up
     for ctx in (FieldCtx(3), FieldCtx(5), FieldCtx(7), FieldCtx(3, 2), FieldCtx(11)):
-        nonsquare = next(u for u in ctx.units() if not ctx.is_square_unit(u))
+        nonsquare = ctx.nonsquare()
         for n in range(3, 7):
             for coeffs in [(1,) * n, (1,) * (n - 1) + (nonsquare,)]:
                 f = QuadForm(ctx, coeffs)
@@ -120,7 +120,7 @@ def test_closed_counts_below_three_variables():
     # every case tag at n = 1, 2 over prime and non-prime fields, from N(0) = 1 up;
     # the circle route enumerates q^P moduli, so it stops earlier
     for ctx in [FieldCtx(p) for p in (3, 5, 7, 11)] + [FieldCtx(3, 2), FieldCtx(5, 2), FieldCtx(3, 3)]:
-        nonsquare = next(u for u in ctx.units() if not ctx.is_square_unit(u))
+        nonsquare = ctx.nonsquare()
         for coeffs in [(1,), (nonsquare,), (1, 1), (1, nonsquare)]:
             f = QuadForm(ctx, coeffs)
             split = classify(f) is CaseTag.SPLIT_EVEN

@@ -115,6 +115,22 @@ def test_routes_take_only_counts_from_the_oracles():
         assert _package_imports(module)["oracle"] <= allowed, module
 
 
+def test_library_imports_only_what_it_uses():
+    """Every name an import binds in a library module, at module or function
+    level, is read in that module, so no import outlives its last use."""
+    unused = []
+    for path in sorted(ROOT.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = {a.asname or a.name.split(".")[0] for a in node.names}
+                unused += [f"{path.name}:{node.lineno} {name}" for name in sorted(bound - read)]
+    assert unused == []
+
+
 def test_library_draws_no_random_numbers():
     """Every algorithm is deterministic, the factor search included, so a
     run's work and answer depend on its input alone."""

@@ -116,7 +116,7 @@ def derived_counts(f, P, budget=DEFAULT_BUDGET):
 @pytest.mark.parametrize("q", [3, 5])
 def test_derived_counts_match_the_gcd_reference(q):
     ctx = _field(q, 1)
-    nonsquare = min(a for a in ctx.units() if not ctx.is_square_unit(a))
+    nonsquare = ctx.nonsquare()
     budget = q ** (4 * 3)  # the charge for n = 4, P = 3, which touches 2 q^6 tuples
     for n in range(1, 5):
         for coeffs in {(1,) * n, (1,) * (n - 1) + (nonsquare,)}:
@@ -246,7 +246,7 @@ def _wider_field_grid(p, nu):
     """The hand-picked grid over F_q, q = p^nu: n <= 6, all-ones and one
     nonsquare, P <= 3 within the budget and the cap."""
     ctx, q = _field(p, nu), p**nu
-    nonsquare = min(a for a in ctx.units() if not ctx.is_square_unit(a))
+    nonsquare = ctx.nonsquare()
     for n in range(1, 7):
         for coeffs in [(1,) * n, (1,) * (n - 1) + (nonsquare,)]:
             for P in (1, 2, 3):
@@ -364,7 +364,7 @@ def test_convolution_past_64_bits(q, n, P):
     # q^(nP) >= 2^62: the CRT moduli multiply past the box, and the count is a Python int
     ctx = FieldCtx(q)
     assert q ** (n * P) >= 2**62
-    nonsquare = min(a for a in ctx.units() if not ctx.is_square_unit(a))
+    nonsquare = ctx.nonsquare()
     for coeffs in [(1,) * n, (1,) * (n - 1) + (nonsquare,)]:
         f = QuadForm(ctx, coeffs)
         assert convolution_count(f, P) == count_exact(f, P), coeffs
