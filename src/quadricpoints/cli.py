@@ -124,16 +124,21 @@ def _methods(text: str) -> list[str]:
 
 
 def _prime_power(text: str) -> tuple[int, int]:
-    """``--q``: an odd prime power q, as (p, nu) with q = p^nu: the first nu
-    whose integer nu-th root p has p^nu = q and is an odd prime."""
+    """``--q``: an odd prime power q, as (p, nu) with q = p^nu.  The exact root
+    p at the largest nu is the least, so q is a prime power iff that p is prime."""
     q = _integer(text)
-    for nu in range(1, q.bit_length()):
+    for nu in reversed(range(1, q.bit_length() + 1)):
         p = 0  # the integer nu-th root of q, built bit by bit
         for bit in reversed(range(q.bit_length() // nu + 1)):
             if (p | 1 << bit) ** nu <= q:
                 p |= 1 << bit
-        if p**nu == q and p % 2 and is_prime(p):
+        if p**nu == q:
+            break
+    try:
+        if p % 2 and is_prime(p):
             return p, nu
+    except ValueError as e:  # p is past the range in which is_prime is proven
+        raise UsageError(str(e)) from None
     raise UsageError(f"must be an odd prime power, got {q}")
 
 

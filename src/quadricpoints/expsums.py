@@ -21,8 +21,8 @@ The direct evaluators read every term's character from one tail: alpha =
 a/r + theta is one polynomial in 1/t (see :mod:`~quadricpoints.characters`),
 taken once per sum, and psi(alpha v) is a dot product of it against v.
 
-On the closed side the totient sums over monic strata are geometric
-series in q, and ``arc_integral_closed`` is one ``phi_power_sum``.
+On the closed side each totient sum over monic strata is one
+``geometric_sum`` in q, and ``arc_integral_closed`` is one ``phi_power_sum``.
 """
 
 from __future__ import annotations
@@ -165,19 +165,22 @@ def phi_degree_sum(q: int, rho: int) -> int:
     return (q - 1) * q ** (2 * rho - 1)
 
 
+def geometric_sum(x, M: int):
+    """sum of x^k over 0 <= k < M, exact for an int or Fraction x; M at the pole x = 1."""
+    if M < 0:
+        raise ValueError("M must be >= 0")
+    return M if x == 1 else Fraction(1 - x**M, 1 - x)
+
+
 def phi_power_sum(q: int, M: int, c: int, signed: bool = False) -> Fraction:
     """sum over monic r with deg r <= M of (-1)^(deg r)^[signed] phi(r) / |r|^c.
 
     Stratum rho >= 1 adds (q-1)/q * x^rho with x = eps q^(2-c), eps = -1
-    when signed, so the sum is geometric.  Its one pole x = 1 is the
-    unsigned c = 2, where every stratum adds (q-1)/q.
+    when signed, so the sum is one ``geometric_sum``.  Its pole x = 1,
+    the unsigned c = 2 where every stratum adds (q-1)/q, is that sum's.
     """
-    if M < 0:
-        raise ValueError("M must be >= 0")
     x = (-1 if signed else 1) * Fraction(q) ** (2 - c)
-    if x == 1:
-        return 1 + Fraction(q - 1, q) * M
-    return 1 + Fraction(q - 1, q) * x * (1 - x**M) / (1 - x)
+    return 1 + Fraction(q - 1, q) * x * geometric_sum(x, M)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,13 @@ _TABLE_LIMIT = 512  # full q-by-q tables only below this
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the first 13 prime bases, deterministic for n < 3.3e24."""
+    """Miller-Rabin on the first 13 prime bases, proven below their least strong
+    pseudoprime psi_13 (about 3.3e24); past it only their multiples get an answer."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2 or any(n % b == 0 for b in bases):
         return n in bases
+    if n >= 3317044064679887385961981:
+        raise ValueError(f"cannot prove {n} prime: the test is proven only below psi_13 = 3317044064679887385961981")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -6,9 +6,9 @@ closed forms depend on the parity of n and, for even n, on the square
 class of the signed determinant d, read as the number eps = chi(d) = +-1
 (:attr:`~quadricpoints.forms.CaseTag.epsilon`).  Each count has one
 expression for odd n and one in eps for even n, and both hold for every
-n >= 1: at n = 1, 2 they give N = 1 or 2q^P - 1 and no morphisms.  Only
-the poles of those expressions (odd n = 3 for N, split n = 4 for both)
-keep branches of their own.  From N one derives the primitive count
+n >= 1: at n = 1, 2 they give N = 1 or 2q^P - 1 and no morphisms.  Their
+poles (odd n = 3 for N, split n = 4 for both) are the ratio x = 1 of one
+``geometric_sum`` and keep no branch.  From N one derives the primitive count
 (through :func:`~quadricpoints.forms.primitive_from_counts`) and the
 number of degree-P morphisms from the projective line into the quadric.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expsums import arc_integral_closed, local_factor_closed
+from .expsums import arc_integral_closed, geometric_sum, local_factor_closed
 from .forms import CaseTag, QuadForm, classify, primitive_from_counts
 from .polyring import enumerate_monic
 
@@ -38,33 +38,26 @@ def _as_int(x: Fraction, what: str) -> int:
 
 
 def count_exact(f: QuadForm, P: int) -> int:
-    """N(P) by the closed case formulas; defined for n >= 1 and P >= 0."""
+    """N(P) by the closed case formulas; defined for n >= 1 and P >= 0.
+
+    Each case is its secondary term times 1 + c G(x, M), G the ``geometric_sum``
+    and x the main term's growth over the secondary term's: for even n that
+    term is eps^P q^(nP/2), x = eps q^(n/2 - 2) and M = P; for odd n and
+    P = 2m + s it is q^((n-1)m), x = q^(n-3) per two steps and M = m, and
+    an odd P scales it by q^(n-2) and the 1 by q.
+    """
     n = f.n
     q = Fraction(f.ctx.q)
     if P < 0:
         raise ValueError("closed count formulas need P >= 0")
     tag = classify(f)
-    even_P = P % 2 == 0
-    if tag is CaseTag.ODD and n == 3:
-        # the pole q^(n-2) = q of the odd expression below
-        val = (q * q - 1) / (2 * q) * P * q**P
-        val += q**P if even_P else (q * q + 1) / (2 * q) * q**P
-        return _as_int(val, "N(P), odd n = 3")
     if tag is CaseTag.ODD:
-        den = q ** (n - 2) - q
-        second = (q - 1) * (q ** (n - 2) + 1) if even_P else (q * q - 1) * q ** ((n - 3) // 2)
-        val = (q ** (n - 1) - 1) / den * q ** (P * (n - 2))
-        val -= second / den * q ** ((n - 1) * P // 2)
-        return _as_int(val, "N(P), odd case")
-    if tag is CaseTag.SPLIT_EVEN and n == 4:
-        # the pole q^(half - 1) = eps q of the even expression below
-        val = (q * q - 1) / q * P * q ** (2 * P) + q ** (2 * P)
-        return _as_int(val, "N(P), split n = 4")
+        m, s = divmod(P, 2)
+        series = (q ** (n - 1) - 1) / q * geometric_sum(q ** (n - 3), m)
+        return _as_int(q ** ((n - 1) * m + (n - 2) * s) * (q**s + series), "N(P), odd case")
     eps, half = tag.epsilon, n // 2
-    den = q ** (half - 1) - eps * q
-    val = (q**half - eps) / den * q ** (P * (n - 2))
-    val -= eps**P * (q - 1) * (q ** (half - 1) + eps) / den * q ** (n * P // 2)
-    return _as_int(val, "N(P), even case")
+    series = (q**half - eps) / (eps * q) * geometric_sum(eps * q ** (half - 2), P)
+    return _as_int(eps**P * q ** (half * P) * (1 + series), "N(P), even case")
 
 
 def count_circle(f: QuadForm, P: int) -> int:
@@ -104,13 +97,8 @@ def morphism_count(f: QuadForm, P: int) -> int:
         if P % 2:
             val -= (q ** (n - 1) - 1) / q ** ((n - 1) // 2) * q ** ((n - 1) * P // 2)
         return _as_int(val, "morphism count, odd case")
-    if tag is CaseTag.SPLIT_EVEN and n == 4:
-        # the pole q^(half - 2) = eps of the even expression below
-        val = (q * q - 1) ** 2 / (q * q) * P * q ** (2 * P)
-        val += (q * q - 1) * (q + 1) ** 2 / (q * q) * q ** (2 * P)
-        return _as_int(val, "morphism count, split n = 4")
     eps, half = tag.epsilon, n // 2
-    shared = (q ** (n - 2) - 1) * (q**half - eps) / (q ** (half - 2) - eps)
-    val = shared * (q ** (n - 3) - 1) / (q ** (n - 2) * (q - 1)) * q ** (P * (n - 2))
-    val -= eps ** (P + 1) * shared / q**half * q ** (n * P // 2)
+    x = eps * q ** (half - 2)
+    scale = (q ** (n - 2) - 1) * (q**half - eps) / (q ** (n - 2) * (q - 1))
+    val = eps ** (P + 1) * q ** (half * P) * scale * ((q ** (n - 3) - 1) * geometric_sum(x, P) + q * x + 1)
     return _as_int(val, "morphism count, even case")

@@ -78,6 +78,8 @@ def test_usage_errors(capsys):
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--method", "brute", "--budget", "0"),
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--jobs", "0"),
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--jobs", "-3"),
+        ("count", "--p", "3317044064679887385961981", "--coeffs", "1,1,1", "--P", "1"),  # past is_prime's range
+        ("count", "--q", "3317044064679887385961981", "--coeffs", "1,1,1", "--P", "1"),
         ("verify", "nosuch", "--p", "3"),
         ("verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1"),
         ("verify", "phis", "--p", "5", "--pmax", "5"),
@@ -190,6 +192,8 @@ def test_q_flag_takes_any_odd_prime_power(capsys):
     big = 10000000000000061
     for q, p, nu in [(3, 3, 1), (9, 3, 2), (3**20, 3, 20), (5**7, 5, 7), (big, big, 1), ((10**9 + 7) ** 2, 10**9 + 7, 2)]:
         assert _prime_power(str(q)) == (p, nu)
+    # past is_prime's proven range only q itself is out of reach, not its least root
+    assert _prime_power(str((10**9 + 7) ** 3)) == (10**9 + 7, 3)
     for q in (1, 2, 12, 15, 2**10):
         with pytest.raises(UsageError, match="must be an odd prime power"):
             _prime_power(str(q))

@@ -28,6 +28,7 @@ from quadricpoints import (
 )
 from quadricpoints import expsums
 from quadricpoints.characters import ratio_char_exponent
+from quadricpoints.verify import suite_weyl
 
 
 def test_quadform_validation(F3):
@@ -196,6 +197,14 @@ def test_weyl_factorization_instance(F3):
                 lhs = weyl_sum(f, a, r, tail, P) * (3 ** (f.n * r.deg))
                 rhs = form_exp_sum(f, a, r) * s_theta
                 assert lhs == rhs
+
+
+def test_weyl_factorization_at_a_nonzero_tail_inside_the_arc_ball():
+    # the in-ball tail t^(rho + P) needs rho + P + 1 <= 2P - 1: first at P = 3, rho = 1
+    records = suite_weyl(FieldCtx(3), n=1, pmax=3)
+    assert [r["id"] for r in records if not r["ok"]] == []
+    in_ball = [r["id"] for r in records if ",P=3,tail@5]" in r["id"]]
+    assert len(in_ball) == 6, in_ball  # a = 1, 2 over each monic r of degree 1
 
 
 def test_one_variable_weyl_sum_over_the_residues_is_the_twisted_gauss_sum(F3, F5, F9):

@@ -44,6 +44,17 @@ def test_is_prime_matches_trial_division():
         assert not is_prime(n), n
 
 
+def test_is_prime_refuses_past_its_proven_range():
+    # psi_13, the least strong pseudoprime to the 13 bases, is composite
+    psi13 = 3317044064679887385961981
+    assert psi13 == 1287836182261 * 2575672364521
+    assert is_prime(3317044064679887385961813)  # the largest prime below psi_13
+    for call in (is_prime, FieldCtx):
+        with pytest.raises(ValueError, match="psi_13"):
+            call(psi13)
+    assert not is_prime(3**60)  # a multiple of a base is answered at any size
+
+
 def test_inverse_of_zero_raises(F9):
     with pytest.raises(ZeroDivisionError):
         F9.inv(0)

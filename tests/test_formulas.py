@@ -21,6 +21,7 @@ from quadricpoints import (
     phi_degree_sum,
     phi_power_sum,
 )
+from quadricpoints.expsums import geometric_sum
 from quadricpoints.forms import (
     CaseTag,
     QuadForm,
@@ -95,6 +96,35 @@ def test_morphism_anchors(key, expected):
     q, coeffs, P = key
     f = QuadForm(FieldCtx(q), coeffs)
     assert morphism_count(f, P) == expected
+
+
+@pytest.mark.parametrize("p,nu", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_counts_at_the_poles_match_their_own_expressions(p, nu):
+    # odd n = 3 and split n = 4, where the main and secondary growth coincide and
+    # the geometric sums sit at x = 1, against the pole expressions written out
+    ctx = FieldCtx(p, nu)
+    q = Fraction(ctx.q)
+    f3 = QuadForm(ctx, (1, 1, 1))
+    f4s = [QuadForm(ctx, (1, 1, 1, c)) for c in (1, ctx.nonsquare())]
+    (f4,) = [f for f in f4s if classify(f) is CaseTag.SPLIT_EVEN]
+    for P in range(41):
+        if P % 2 == 0:
+            n3 = q**P * (1 + (q * q - 1) * P / (2 * q))
+        else:
+            n3 = q**P * ((q * q - 1) * P / (2 * q) + (q * q + 1) / (2 * q))
+        assert count_exact(f3, P) == n3, (ctx.q, P)
+        assert count_exact(f4, P) == q ** (2 * P) * (1 + (q * q - 1) * P / q), (ctx.q, P)
+        if P >= 1:
+            mor4 = q ** (2 * P) * (q * q - 1) * ((q * q - 1) * P + (q + 1) ** 2) / (q * q)
+            assert morphism_count(f4, P) == mor4, (ctx.q, P)
+
+
+def test_geometric_sum_is_the_term_by_term_sum():
+    for x in (1, -1, 3, -3, Fraction(1, 3), Fraction(-1, 3)):
+        for M in range(9):
+            assert geometric_sum(x, M) == sum(x**k for k in range(M)), (x, M)
+    with pytest.raises(ValueError):
+        geometric_sum(3, -1)
 
 
 def test_count_circle_agrees_with_exact():

@@ -131,6 +131,33 @@ def test_library_imports_only_what_it_uses():
     assert unused == []
 
 
+def test_closed_counts_branch_only_on_the_case():
+    """The closed counts hold one expression per case tag: formulas.py compares
+    no n with an integer, and the one test of a ratio against 1 in formulas.py
+    and expsums.py is geometric_sum's, whose x = 1 value is every pole."""
+
+    def is_int(node, value=None):
+        return isinstance(node, ast.Constant) and type(node.value) is int and value in (None, node.value)
+
+    def is_n(node):
+        return isinstance(node, ast.Name) and node.id == "n" or isinstance(node, ast.Attribute) and node.attr == "n"
+
+    found = []
+    for module in ("formulas", "expsums"):
+        tree = ast.parse((ROOT / f"{module}.py").read_text())
+        pole = {id(n) for f in ast.walk(tree) if getattr(f, "name", None) == "geometric_sum" for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            if module == "formulas" and any(map(is_n, sides)) and any(map(is_int, sides)):
+                found.append(f"{module}.py:{node.lineno} compares n")
+            for op, left, right in zip(node.ops, sides, node.comparators):
+                if isinstance(op, ast.Eq) and (is_int(left, 1) or is_int(right, 1)) and id(node) not in pole:
+                    found.append(f"{module}.py:{node.lineno} tests == 1")
+    assert found == []
+
+
 def test_library_draws_no_random_numbers():
     """Every algorithm is deterministic, the factor search included, so a
     run's work and answer depend on its input alone."""
