@@ -95,8 +95,8 @@ def _split_elements(s: str) -> list[str]:
 
 
 def _integer(text: str, least: int = 1) -> int:
-    """An integer flag: >= 1 for ``--P``, an end of ``--P-range``, ``--budget``,
-    ``--q`` or ``--jobs``, >= 0 for a verify bound."""
+    """An integer flag: >= 1 for ``--p``, ``--nu``, ``--q``, ``--P``, an end of
+    ``--P-range``, ``--budget`` or ``--jobs``, >= 0 for a verify bound."""
     value = int(text) if text.strip().isdecimal() else -1
     if value < least:
         raise UsageError(f"expected an integer >= {least}, got {text!r}")
@@ -288,9 +288,9 @@ _SUITE_PARAMS = {
 def _make_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     field = common.add_mutually_exclusive_group(required=True)
-    field.add_argument("--p", type=int, help="odd prime characteristic")
+    field.add_argument("--p", type=_integer, help="odd prime characteristic")
     field.add_argument("--q", type=_prime_power, help="field size p^nu (alternative to --p/--nu)")
-    common.add_argument("--nu", type=int, help="extension degree (default 1)")
+    common.add_argument("--nu", type=_integer, help="extension degree (default 1)")
     common.add_argument("--modulus", type=_modulus, help="comma list of F_p coefficients, low to high")
     common.add_argument("--emit", choices=["json", "csv"], default="json")
     # kept for argv lists that still pass it; benchmark v2 (ROADMAP item 1) deletes it

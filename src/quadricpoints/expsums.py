@@ -10,16 +10,18 @@ The hierarchy, for a diagonal form f = a_1 X_1^2 + ... + a_n X_n^2 (a
 :class:`~quadricpoints.forms.QuadForm`, whose case tag ``classify``
 gives the sign eps of the closed local factors):
 
-* ``twisted_gauss_sum(a, r)``        sum psi(a x^2 / r) over residues x
+* ``weyl_sum(f, alpha, P)``          S(alpha) over the height box |x_i| < q^P
+* ``twisted_gauss_sum(a, r)``        sum psi(a x^2 / r) over residues x: S of X^2 at a/r, P = deg r
 * ``gauss_sum(r)``                   tau_r, the twisted sum at a = 1
 * ``form_exp_sum(f, a, r)``          the n-variable complete sum, as a product
 * ``local_factor_direct(f, r)``      summed over numerators coprime to r
-* ``weyl_sum(f, a, r, tail, P)``     S(alpha) over the height box |x| < q^P
 * ``arc_integral_direct(f, rho, P)`` I(rho, P): S integrated over the arc ball at any a/r, deg r = rho
 
-The direct evaluators read every term's character from one tail: alpha =
-a/r + theta is one polynomial in 1/t (see :mod:`~quadricpoints.characters`),
-taken once per sum, and psi(alpha v) is a dot product of it against v.
+``weyl_sum`` is the one direct box sum.  A point alpha = a/r + theta is
+one polynomial in 1/t, its tail (see :mod:`~quadricpoints.characters`),
+and psi(alpha v) is a dot product of that tail against v.  At alpha = a/r
+and P = deg r the box is the set of residues mod r, so S(a/r) is the
+complete sum of f at a/r.
 
 On the closed side each totient sum over monic strata is one
 ``geometric_sum`` in q, and ``arc_integral_closed`` is one ``phi_power_sum``.
@@ -53,22 +55,11 @@ def _require_monic(r: Poly) -> None:
         raise ValueError("modulus must be monic")
 
 
-def _char_sum(alpha: Poly, values) -> CycInt:
-    """sum of psi(alpha v) over the values v, for the point alpha given by its tail."""
-    p = alpha.ctx.p
-    counts = [0] * p
-    for v in values:
-        counts[tail_char_exponent(alpha, v)] += 1
-    return CycInt.from_exponent_counts(p, counts)
-
-
 def twisted_gauss_sum(a: Poly, r: Poly) -> CycInt:
-    """sum over |x| < |r| of psi(a x^2 / r);  a need not be coprime to r."""
-    _require_monic(r)
-    rho = len(r.coeffs) - 1
-    # deg x^2 <= 2 rho - 2, so psi(a x^2 / r) reads tail indices <= 2 rho - 1
-    alpha = expansion_tail(a, r, max(2 * rho - 1, 0))
-    return _char_sum(alpha, (x * x for x in enumerate_below(r.ctx, rho)))
+    """sum over |x| < |r| of psi(a x^2 / r), a need not be coprime to r: the
+    Weyl sum of X^2 at a/r over the box P = deg r, whose terms read the
+    tail of a/r to index 2 deg r - 1."""
+    return weyl_sum(QuadForm(r.ctx, (1,)), expansion_tail(a, r, max(2 * r.deg - 1, 0)), r.deg)
 
 
 def gauss_sum(r: Poly) -> CycInt:
@@ -113,6 +104,8 @@ def form_exp_sum(f: QuadForm, a: Poly, r: Poly) -> CycInt:
     sum is the product of one twisted Gauss sum per coefficient, and equal
     coefficients give a power of one sum.
     """
+    if a.ctx != f.ctx or r.ctx != f.ctx:
+        raise ValueError("mixed coefficient fields")
     out = CycInt.from_int(f.ctx.p, 1)
     for c, k in Counter(f.coeffs).items():
         out = out * twisted_gauss_sum(a.scale(c), r) ** k
@@ -138,6 +131,8 @@ def local_factor_closed(f: QuadForm, r: Poly) -> int:
     Odd n:   phi(r) * |r|^(n/2) when r is a square, else 0.
     """
     _require_monic(r)
+    if r.ctx != f.ctx:
+        raise ValueError("mixed coefficient fields")
     ftype = factor_type(r)
     rho = len(r.coeffs) - 1
     q = f.ctx.q
@@ -187,32 +182,38 @@ def phi_power_sum(q: int, M: int, c: int, signed: bool = False) -> Fraction:
 # Weyl sums over the height box and their arc integrals
 
 
-def weyl_sum(f: QuadForm, a: Poly, r: Poly, tail: Poly, P: int) -> CycInt:
+def weyl_sum(f: QuadForm, alpha: Poly, P: int) -> CycInt:
     """S(alpha) = sum over x in F_q[t]^n, each |x_i| < q^P, of psi(alpha f(x)),
-    at the point alpha = a/r + theta where theta has the given tail.
+    at the point alpha given by its tail.
 
-    alpha is one tail, that of a/r plus that of theta; deg f(x) <= 2P - 2
-    on the box, so each term reads indices <= 2P - 1 of it.  S at
-    alpha = 0 is q^(nP).
+    deg f(x) <= 2P - 2 on the box, so each term reads indices <= 2P - 1 of
+    the tail.  S at alpha = 0 is q^(nP), and the box at P = 0 is {0}, so
+    S = 1 there.  At alpha = a/r and P = deg r the box is the set of
+    residues mod r, and S is the complete sum ``form_exp_sum(f, a, r)``.
     """
-    _require_monic(r)
-    if P < 1:
-        raise ValueError("the box exponent P must be >= 1")
+    if P < 0:
+        raise ValueError("the box exponent P must be >= 0")
     ctx = f.ctx
-    xs = list(enumerate_below(ctx, P))
-    values = [[(x * x).scale(ai) for x in xs] for ai in f.coeffs]
-    alpha = tail + expansion_tail(a, r, 2 * P - 1)
+    if alpha.ctx != ctx:
+        raise ValueError("mixed coefficient fields")
+    squares = [x * x for x in enumerate_below(ctx, P)]
+    first, *rest = [[v.scale(c) for v in squares] for c in f.coeffs]
+    sums = first  # f(x) over the box in the coordinates added so far
+    for values in rest:
+        sums = _add_each(sums, values)
+    counts = [0] * ctx.p
+    for v in sums:
+        counts[tail_char_exponent(alpha, v)] += 1
+    return CycInt.from_exponent_counts(ctx.p, counts)
 
-    def sums(k):
-        """f(x) over the box in the first k coordinates, each partial sum formed once."""
-        if k == 0:
-            yield Poly.zero(ctx)
-            return
-        for s in sums(k - 1):
-            for v in values[k - 1]:
-                yield s + v
 
-    return _char_sum(alpha, sums(f.n))
+def _add_each(sums, values):
+    """s + v for every s in sums and v in values: one more coordinate of a box,
+    each partial sum formed once.  A plain generator, unlike a recursive
+    closure, leaves no reference cycle to wait for the garbage collector."""
+    for s in sums:
+        for v in values:
+            yield s + v
 
 
 def arc_integral_direct(f: QuadForm, rho: int, P: int) -> Fraction:
@@ -222,18 +223,9 @@ def arc_integral_direct(f: QuadForm, rho: int, P: int) -> Fraction:
     Evaluated as an exact finite average of Weyl sums, a rational; S only
     depends on tail indices up to 2P - 1 because deg f(x) <= 2P - 2 on the box.
     """
-    if P < 1:
-        raise ValueError("the box exponent P must be >= 1")
     if not 0 <= rho <= P:
         raise ValueError("arc integrals are only defined for 0 <= deg r <= P")
-    ctx = f.ctx
-    one = Poly.one(ctx)
-    zero = Poly.zero(ctx)
-
-    def functional(tail: Poly) -> CycInt:
-        return weyl_sum(f, zero, one, tail, P)
-
-    return ball_integral(ctx, -(rho + P), 2 * P - 1, functional)
+    return ball_integral(f.ctx, -(rho + P), max(2 * P - 1, 0), lambda tail: weyl_sum(f, tail, P))
 
 
 def arc_integral_closed(f: QuadForm, rho: int, P: int) -> Fraction:

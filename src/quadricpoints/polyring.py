@@ -123,7 +123,9 @@ class Poly:
         return Poly(ctx, out)
 
     def scale(self, a: int) -> "Poly":
-        """Multiply by the field element a."""
+        """Multiply by the field element a; self itself at a = 1."""
+        if a == 1:
+            return self
         ctx = self.ctx
         return Poly(ctx, [ctx.mul(a, c) for c in self.coeffs])
 

@@ -80,6 +80,9 @@ def test_usage_errors(capsys):
         ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "1", "--jobs", "-3"),
         ("count", "--p", "3317044064679887385961981", "--coeffs", "1,1,1", "--P", "1"),  # past is_prime's range
         ("count", "--q", "3317044064679887385961981", "--coeffs", "1,1,1", "--P", "1"),
+        ("count", "--p", "1_1", "--coeffs", "1,1,1", "--P", "1"),  # int() would read 11
+        ("count", "--p", "+3", "--coeffs", "1,1,1", "--P", "1"),
+        ("count", "--p", "3", "--nu", "+2", "--coeffs", "1,1,1", "--P", "1"),
         ("verify", "nosuch", "--p", "3"),
         ("verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1"),
         ("verify", "phis", "--p", "5", "--pmax", "5"),
@@ -98,6 +101,8 @@ def test_usage_errors(capsys):
         assert code == 2, f"expected usage error for {argv}"
         assert err.startswith("error:")
         assert err.count("\n") == 1 and err.endswith("\n") and "usage:" not in err, err
+    code, _, err = run(capsys, "count", "--p", "3", "--nu", "0", "--coeffs", "1,1,1", "--P", "1")
+    assert (code, err) == (2, "error: argument --nu: expected an integer >= 1, got '0'\n")
 
 
 def test_verify_names_the_flags_it_does_not_take(capsys):

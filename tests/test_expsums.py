@@ -27,7 +27,7 @@ from quadricpoints import (
     weyl_sum,
 )
 from quadricpoints import expsums
-from quadricpoints.characters import ratio_char_exponent
+from quadricpoints.characters import expansion_tail, ratio_char_exponent
 from quadricpoints.verify import suite_weyl
 
 
@@ -156,7 +156,7 @@ def test_local_factor_closed_factors_each_modulus_once(monkeypatch, F3):
 
 def _tuple_sum(f, a, r):
     """The complete sum term by term over residue tuples: the reference
-    that the product form of form_exp_sum must reproduce."""
+    that the product form of form_exp_sum and weyl_sum at a/r must reproduce."""
     counts = [0] * f.ctx.p
     residues = list(enumerate_below(f.ctx, r.deg))
     for xs in itertools.product(residues, repeat=f.n):
@@ -180,21 +180,20 @@ def test_form_exp_sum_splits_into_twisted_factors(F3, F9):
 def test_weyl_sum_at_zero_is_box_size(F3):
     f = QuadForm(F3, (1, 1, 1))
     zero = Poly.zero(F3)
-    one = Poly.one(F3)
-    for P in (1, 2):
-        assert weyl_sum(f, zero, one, zero, P) == CycInt.from_int(3, 3 ** (3 * P))
+    for P in (0, 1, 2):  # the box at P = 0 is {0}
+        assert weyl_sum(f, zero, P) == CycInt.from_int(3, 3 ** (3 * P))
 
 
 def test_weyl_factorization_instance(F3):
     t = Poly.gen(F3)
     f = QuadForm(F3, (1, 1, 1))
-    zero, one = Poly.zero(F3), Poly.one(F3)
+    one = Poly.one(F3)
     P = 2
     for r in (t, t + one):
-        for tail in (zero, Poly.t_power(F3, 2 * P - 1).scale(2)):
-            s_theta = weyl_sum(f, zero, one, tail, P)
+        for tail in (Poly.zero(F3), Poly.t_power(F3, 2 * P - 1).scale(2)):
+            s_theta = weyl_sum(f, tail, P)
             for a in (one, Poly.constant(F3, 2)):
-                lhs = weyl_sum(f, a, r, tail, P) * (3 ** (f.n * r.deg))
+                lhs = weyl_sum(f, expansion_tail(a, r, 2 * P - 1) + tail, P) * (3 ** (f.n * r.deg))
                 rhs = form_exp_sum(f, a, r) * s_theta
                 assert lhs == rhs
 
@@ -207,14 +206,31 @@ def test_weyl_factorization_at_a_nonzero_tail_inside_the_arc_ball():
     assert len(in_ball) == 6, in_ball  # a = 1, 2 over each monic r of degree 1
 
 
-def test_one_variable_weyl_sum_over_the_residues_is_the_twisted_gauss_sum(F3, F5, F9):
-    # at P = deg r and zero tail the box is the residues mod r and f(x) = x^2
-    for ctx in (F3, F5, F9):
-        f, zero = QuadForm(ctx, (1,)), Poly.zero(ctx)
-        for d in (1, 2):
+def test_weyl_sum_over_the_residues_is_the_term_by_term_complete_sum(F3, F5, F9):
+    # at alpha = a/r and P = deg r the box is the residues mod r, so S is the
+    # complete sum; _tuple_sum divides once per term and shares no box sum
+    for ctx, n, maxdeg in ((F3, 1, 2), (F3, 2, 2), (F5, 1, 2), (F5, 2, 1), (F9, 1, 1), (F9, 2, 1)):
+        f = QuadForm(ctx, (1, ctx.nonsquare())[:n])  # both square classes at n = 2
+        for d in range(1, maxdeg + 1):
             for r in enumerate_monic(ctx, d):
-                for a in enumerate_below(ctx, d):
-                    assert weyl_sum(f, a, r, zero, d) == twisted_gauss_sum(a, r), (ctx, a, r)
+                for a in enumerate_below(ctx, d):  # a = 0 and non-coprime numerators included
+                    alpha = expansion_tail(a, r, 2 * d - 1)
+                    assert weyl_sum(f, alpha, d) == _tuple_sum(f, a, r), (ctx, f, a, r)
+
+
+def test_sums_refuse_a_point_or_modulus_over_another_field(F3, F9):
+    for ctx, other in ((F9, F3), (F3, F9)):
+        f = QuadForm(ctx, (1, 1, 1))
+        t, one = Poly.gen(other), Poly.one(other)
+        mixed = [
+            lambda: weyl_sum(f, t, 1),
+            lambda: form_exp_sum(f, one, Poly.gen(ctx)),
+            lambda: form_exp_sum(f, Poly.one(ctx), t),
+            lambda: local_factor_closed(f, t),
+        ]
+        for call in mixed:
+            with pytest.raises(ValueError, match="mixed coefficient fields"):
+                call()
 
 
 def test_arc_integral_hand_values(F3):
@@ -226,6 +242,8 @@ def test_arc_integral_hand_values(F3):
     # boundary rho = P: the closed value collapses to q^(P (n - 2)) = 3
     assert arc_integral_closed(f, 1, 1) == Fraction(3)
     assert arc_integral_direct(f, 1, 1) == Fraction(3)
+    # P = 0: the box is {0} and S = 1 on the whole ball
+    assert arc_integral_direct(f, 0, 0) == arc_integral_closed(f, 0, 0) == Fraction(1)
 
 
 def test_arc_integral_agreement_sample(F5):

@@ -217,6 +217,12 @@ def _top_level_calls(name: str) -> set:
     return out
 
 
+def test_one_character_count():
+    """Every direct character sum is a ``weyl_sum``, the one box sum: it is
+    the only place that reads a term's character from a tail."""
+    assert _top_level_calls("tail_char_exponent") == {"expsums.weyl_sum"}
+
+
 def test_rows_are_derived_in_forms():
     """Primitive and morphism counts are arithmetic on the N sequence, done in
     ``forms`` alone (``forms.table_rows`` for a table's rows), and the routes
@@ -241,8 +247,9 @@ def test_rows_are_derived_in_forms():
 def test_verify_bound_flags_come_from_the_suites():
     """``verify``'s bound flags are built from the suites' signatures, so a
     suite's parameters are listed once, in ``verify.SUITES``: no string in
-    ``cli.py`` spells ``--<parameter>``.  ``--budget`` is no bound: every
-    subcommand takes it, and a suite with a ``budget`` parameter gets it."""
+    ``cli.py`` spells ``--<parameter>``.  ``--budget`` is spelled once, for
+    ``count`` and ``table``; a suite takes it only when its signature has a
+    ``budget`` parameter, so it is left out of the names checked here."""
     from quadricpoints.verify import SUITES
 
     params = {name for fn in SUITES.values() for name in inspect.signature(fn).parameters} - {"budget"}
