@@ -23,6 +23,7 @@ import csv
 import functools
 import inspect
 import json
+import re
 import sys
 import time
 
@@ -62,6 +63,13 @@ class _Parser(argparse.ArgumentParser):
 # flag parsing helpers
 
 
+def _signed(text: str) -> int:
+    """An element or modulus integer: an optional '-', then the digits 0-9."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_element(ctx: FieldCtx, token: str) -> int:
     """An F_q element: an integer for nu = 1, '[c0 c1 ...]' otherwise."""
     token = token.strip()
@@ -69,7 +77,7 @@ def _parse_element(ctx: FieldCtx, token: str) -> int:
     if bracketed and not token.endswith("]"):
         raise UsageError(f"unbalanced brackets in element {token!r}")
     try:
-        values = [int(c) for c in (token[1:-1].split() if bracketed else [token])]
+        values = [_signed(c) for c in (token[1:-1].split() if bracketed else [token])]
     except ValueError:
         raise UsageError(f"cannot read element {token!r}: write an integer or '[c0 c1 ...]'") from None
     if bracketed:
@@ -97,7 +105,7 @@ def _split_elements(s: str) -> list[str]:
 def _integer(text: str, least: int = 1) -> int:
     """An integer flag: >= 1 for ``--p``, ``--nu``, ``--q``, ``--P``, an end of
     ``--P-range``, ``--budget`` or ``--jobs``, >= 0 for a verify bound."""
-    value = int(text) if text.strip().isdecimal() else -1
+    value = int(text) if re.fullmatch("[0-9]+", text) else -1
     if value < least:
         raise UsageError(f"expected an integer >= {least}, got {text!r}")
     return value
@@ -145,7 +153,7 @@ def _prime_power(text: str) -> tuple[int, int]:
 def _modulus(text: str) -> list[int]:
     """``--modulus``: comma-separated F_p coefficients, low to high."""
     try:
-        return [int(c) for c in text.split(",")]
+        return [_signed(c.strip()) for c in text.split(",")]
     except ValueError:
         raise UsageError(f"expected a comma list of integers, got {text!r}") from None
 

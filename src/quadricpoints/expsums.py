@@ -79,7 +79,7 @@ def gauss_sum_prime_power(pi: Poly, k: int) -> CycInt:
     if not is_irreducible(pi) or not pi.is_monic():
         raise ValueError("base must be monic irreducible")
     ctx = pi.ctx
-    size = ctx.q ** (len(pi.coeffs) - 1)
+    size = ctx.q ** pi.deg
     if k % 2 == 0:
         return CycInt.from_int(ctx.p, size ** (k // 2))
     return gauss_sum(pi) * (size ** ((k - 1) // 2))
@@ -117,7 +117,7 @@ def local_factor_direct(f: QuadForm, r: Poly) -> CycInt:
     _require_monic(r)
     ctx = f.ctx
     total = CycInt.zero(ctx.p)
-    for a in enumerate_below(ctx, len(r.coeffs) - 1):
+    for a in enumerate_below(ctx, r.deg):
         if poly_gcd(a, r).is_one():
             total = total + form_exp_sum(f, a, r)
     return total
@@ -134,7 +134,7 @@ def local_factor_closed(f: QuadForm, r: Poly) -> int:
     if r.ctx != f.ctx:
         raise ValueError("mixed coefficient fields")
     ftype = factor_type(r)
-    rho = len(r.coeffs) - 1
+    rho = r.deg
     q = f.ctx.q
     size = phi_of_type(q, ftype) * q ** (rho * f.n // 2)  # odd n keeps it only at even rho
     tag = classify(f)

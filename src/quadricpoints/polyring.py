@@ -9,8 +9,8 @@ Conventions used throughout:
 * the factor type of a nonzero f is the sorted tuple of (deg pi, k), one
   pair per monic irreducible pi with pi^k exactly dividing f.  phi, mu and
   squareness depend on f only through it, so no factor itself is found:
-  a squarefree split gives the multiplicities and a distinct-degree pass
-  the degrees.
+  one distinct-degree loop gives the degrees, and dividing each degree's
+  gcd out of f until the two are coprime gives the multiplicities.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         ctx = self.ctx
-        db = len(other.coeffs) - 1
+        db = other.deg
         inv_lead = ctx.inv(other.coeffs[-1])
         rem = list(self.coeffs)
         if len(rem) - 1 < db:
@@ -170,14 +170,6 @@ class Poly:
         if self.is_monic():
             return self
         return self.scale(self.ctx.inv(self.lead))
-
-    def derivative(self) -> "Poly":
-        ctx = self.ctx
-        out = []
-        for i in range(1, len(self.coeffs)):
-            scalar = i % ctx.p  # prime-subfield encodings coincide with residues
-            out.append(ctx.mul(scalar, self.coeffs[i]) if scalar else 0)
-        return Poly(ctx, out)
 
     # -- hashing / display --------------------------------------------------
 
@@ -238,85 +230,46 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # factor type and irreducibility
 
 
-def _pth_root(f: Poly) -> Poly:
-    """p-th root of f when f = g(t^p); valid since Frobenius is bijective."""
-    ctx = f.ctx
-    p = ctx.p
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        c = f.coeffs[i]
-        # the p-th root of c in F_q is c^(p^(nu-1))
-        out.append(ctx.pow(c, p ** (ctx.nu - 1)))
-    return Poly(ctx, out)
+def _factor_pairs(f: Poly):
+    """Yield (deg pi, k) for each monic irreducible pi with pi^k exactly dividing nonzero f,
+    lowest degree first and, within a degree, lowest k first.
 
-
-def _squarefree_parts(f: Poly, k: int = 1):
-    """Yield (w, k * e): w the product of the irreducible factors of multiplicity e in monic f.
-
-    Each w is monic, squarefree and nonconstant.  c = gcd(f, f') keeps
-    e - 1 copies of a factor with p not dividing e and all e copies of
-    one with p | e; after the loop c holds only the latter, and is a
-    p-th power.
+    At step d every factor of degree < d is divided out, so g = gcd(t^(q^d) - t, f)
+    is the product of the distinct degree-d factors.  Round k divides f by g;
+    gcd(g, f) then keeps those of multiplicity > k, and the degree g loses
+    counts those of multiplicity k.  Once 2(d + 1) > deg f, a nonconstant
+    rest is irreducible.
     """
-    deriv = f.derivative()
-    if deriv.is_zero():  # f = h(t)^p for the p-th root h
-        if f.deg >= 1:
-            yield from _squarefree_parts(_pth_root(f), k * f.ctx.p)
-        return
-    c = poly_gcd(f, deriv)
-    w = f // c  # the factors whose multiplicity p does not divide
-    e = 1
-    while w.deg >= 1:
-        y = poly_gcd(w, c)  # those of multiplicity > e
-        if y.deg < w.deg:
-            yield w // y, k * e
-        w, c, e = y, c // y, e + 1
-    yield from _squarefree_parts(c, k)
-
-
-def _distinct_degree_parts(w: Poly):
-    """Yield (g_d, d), lowest d first, g_d the product of the degree-d factors of w.
-
-    w is monic and squarefree.  Each nontrivial g_d = gcd(t^(q^d) - t, w) is
-    divided out of w; once 2(d + 1) > deg w, a nonconstant rest is irreducible.
-    """
-    t = Poly.gen(w.ctx)
-    h = t % w
+    t = Poly.gen(f.ctx)
+    h = t % f
     d = 0
-    while 2 * (d + 1) <= w.deg:
+    while 2 * (d + 1) <= f.deg:
         d += 1
-        h = pow(h, w.ctx.q, w)
-        g_d = poly_gcd(h - t, w)
-        if g_d.deg >= 1:
-            yield g_d, d
-            w = w // g_d
-            h = h % w
-    if w.deg >= 1:
-        yield w, w.deg
+        h = pow(h, f.ctx.q, f)
+        g = poly_gcd(h - t, f)
+        k = 1
+        while g.deg >= 1:
+            f = f // g
+            rest = poly_gcd(g, f)
+            yield from [(d, k)] * ((g.deg - rest.deg) // d)
+            g, k = rest, k + 1
+    if f.deg >= 1:
+        yield f.deg, 1
 
 
 def factor_type(f: Poly) -> tuple:
-    """The sorted (degree, multiplicity) pairs of the monic irreducible factors of nonzero f.
-
-    A distinct-degree part of degree m * d holds m factors of degree d.
-    """
+    """The sorted (degree, multiplicity) pairs of the monic irreducible factors of nonzero f."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    pairs = []
-    for w, e in _squarefree_parts(f.monic()):
-        for g_d, d in _distinct_degree_parts(w):
-            pairs += [(d, e)] * (g_d.deg // d)
-    return tuple(sorted(pairs))
+    return tuple(_factor_pairs(f))
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Whether f is irreducible: squarefree, and its first distinct-degree part has d = deg f.
+    """Whether f is irreducible: its first factor pair is (deg f, 1).
 
     Constants and the zero polynomial fail.
     """
-    if f.deg < 1 or not poly_gcd(f, f.derivative()).is_one():
-        return False
-    return next(_distinct_degree_parts(f.monic()))[1] == f.deg
+    return f.deg >= 1 and next(_factor_pairs(f)) == (f.deg, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +303,7 @@ def _legendre(a: Poly, pi: Poly) -> int:
     a = a % pi
     if a.is_zero():
         return 0
-    d = len(pi.coeffs) - 1
-    euler = pow(a, (ctx.q**d - 1) // 2, pi)
+    euler = pow(a, (ctx.q**pi.deg - 1) // 2, pi)
     if euler.is_one():
         return 1
     if euler == Poly.constant(ctx, ctx.neg(1)):

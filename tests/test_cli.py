@@ -83,6 +83,12 @@ def test_usage_errors(capsys):
         ("count", "--p", "1_1", "--coeffs", "1,1,1", "--P", "1"),  # int() would read 11
         ("count", "--p", "+3", "--coeffs", "1,1,1", "--P", "1"),
         ("count", "--p", "3", "--nu", "+2", "--coeffs", "1,1,1", "--P", "1"),
+        # only ASCII digits: not full-width, Arabic-Indic or blank-padded ones
+        ("count", "--p", "\uff13", "--coeffs", "1,1,1", "--P", "1"),
+        ("count", "--p", " 3", "--coeffs", "1,1,1", "--P", "1"),
+        ("count", "--p", "3", "--coeffs", "1,1,1", "--P", "\u0661"),
+        ("count", "--p", "3", "--coeffs", "1_1,1,1", "--P", "1"),  # int() would read 11
+        ("count", "--p", "3", "--modulus", "2,\uff12,1", "--coeffs", "1,1,1", "--P", "1"),
         ("verify", "nosuch", "--p", "3"),
         ("verify", "weyl", "--p", "3", "--nmax", "4", "--maxdeg", "9", "--pmax", "1"),
         ("verify", "phis", "--p", "5", "--pmax", "5"),
@@ -103,6 +109,9 @@ def test_usage_errors(capsys):
         assert err.count("\n") == 1 and err.endswith("\n") and "usage:" not in err, err
     code, _, err = run(capsys, "count", "--p", "3", "--nu", "0", "--coeffs", "1,1,1", "--P", "1")
     assert (code, err) == (2, "error: argument --nu: expected an integer >= 1, got '0'\n")
+    # an element keeps its optional leading minus sign
+    code, _, err = run(capsys, "count", "--p", "3", "--coeffs=-1,1,1", "--P", "1")
+    assert (code, err) == (0, "")
 
 
 def test_verify_names_the_flags_it_does_not_take(capsys):

@@ -223,6 +223,14 @@ def test_one_character_count():
     assert _top_level_calls("tail_char_exponent") == {"expsums.weyl_sum"}
 
 
+def test_one_factor_loop():
+    """A factor type comes from one loop, ``polyring._factor_pairs``: it is
+    read by ``factor_type`` and ``is_irreducible`` alone, and no derivative
+    (no squarefree split) is taken anywhere."""
+    assert _top_level_calls("_factor_pairs") == {"polyring.factor_type", "polyring.is_irreducible"}
+    assert _top_level_calls("derivative") == set()
+
+
 def test_rows_are_derived_in_forms():
     """Primitive and morphism counts are arithmetic on the N sequence, done in
     ``forms`` alone (``forms.table_rows`` for a table's rows), and the routes

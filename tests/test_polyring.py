@@ -136,7 +136,7 @@ def nonzero_polys(draw):
 
 
 @given(nonzero_polys().filter(lambda f: f.ctx.nu == 1))
-def test_factorize_matches_sympy(f):
+def test_factor_type_matches_sympy(f):
     p = f.ctx.p
     t = sympy.symbols("t")
     theirs_poly = sympy.Poly(list(reversed(f.coeffs)), t, modulus=p)
@@ -196,18 +196,26 @@ def test_factorize_matches_trial_division(p, nu, maxdeg):
             assert moebius(f) == ((-1) ** len(reference) if squarefree else 0), f
 
 
-def test_factorize_repeated_and_derivative_zero(F3):
+def test_factor_type_repeated_and_derivative_zero(F3):
     t = Poly.gen(F3)
     one = Poly.one(F3)
     # (t+1)^3 = t^3 + 1 has zero derivative in characteristic 3
     assert factor_type((t + one) ** 3) == ((1, 3),)
     g = (t**3 - t) * (t**3 - t)  # squarefull with three distinct roots
     assert factor_type(g) == ((1, 2),) * 3
-    # multiplicities p^2 (the p-th root is taken twice), p and 2p
+    # multiplicities p^2, p and 2p
     assert factor_type((t + one) ** 9) == ((1, 9),)
     assert factor_type(t**3 * (t**2 + one) ** 6) == ((1, 3), (2, 6))
     # p + 1 and 2p + 1 beside a factor of multiplicity p, and a unit that is not 1
     assert factor_type(Poly.constant(F3, 2) * t**4 * (t + one) ** 3 * (t**2 + one) ** 7) == ((1, 3), (1, 4), (2, 7))
+    # the first peel at degree 2 finds no factor of multiplicity 1
+    u, v = t**2 + one, t**2 + t + Poly.constant(F3, 2)
+    assert factor_type(u**2 * v**3) == ((2, 2), (2, 3))
+    # p^2 and p^2 + 1 at two degrees, either way round
+    assert factor_type(t**9 * u**10) == ((1, 9), (2, 10))
+    assert factor_type((t + one) ** 10 * v**9) == ((1, 10), (2, 9))
+    # two distinct irreducibles of one degree, and a cube of one
+    assert not is_irreducible(u * v) and not is_irreducible(u**3)
     # p^2 with a coefficient outside F_3, then p and p + 1 over F_27
     F9, F27 = FIELDS[9], FieldCtx(3, 3)
     a = Poly.gen(F9) + Poly.constant(F9, 3)
@@ -219,6 +227,10 @@ def test_factorize_repeated_and_derivative_zero(F3):
     assert factor_type(Poly.constant(F9, 5) * a**6) == ((1, 6),)
     assert factor_type(b**6 * c) == ((1, 1), (1, 6))
     assert factor_type(a**4 * (a + Poly.one(F9)) ** 3) == ((1, 3), (1, 4))
+    # the cube of an irreducible of degree 2 over F_9
+    pi = next(irreducibles(F9, 2))
+    assert is_irreducible(pi) and not is_irreducible(pi**3)
+    assert factor_type(pi**3) == ((2, 3),)
     with pytest.raises(ValueError):
         factor_type(Poly.zero(F3))
 
