@@ -38,17 +38,22 @@ def is_prime(n: int) -> bool:
 
 
 def power(x, e: int, one, mul=operator.mul):
-    """x**e for e >= 0 by square-and-multiply from ``one``, multiplying with ``mul``."""
+    """x**e for e >= 0 by square-and-multiply, multiplying with ``mul``.
+
+    The product starts at the lowest set bit of e, so it never multiplies
+    by ``one``: that is returned at e = 0 alone, and e >= 1 takes
+    bit_length(e) + popcount(e) - 2 products.
+    """
     if e < 0:
         raise ValueError(f"negative exponent {e}")
-    result = one
+    result = None
     while e:
         if e & 1:
-            result = mul(result, x)
+            result = x if result is None else mul(result, x)
         e >>= 1
         if e:
             x = mul(x, x)
-    return result
+    return one if result is None else result
 
 
 class FieldCtx:
@@ -92,10 +97,7 @@ class FieldCtx:
             elif not polyring.is_irreducible(polyring.Poly(base, modulus)):
                 raise ValueError("modulus is reducible over F_p")
             self.modulus = modulus
-        if self.nu > 1 and self.q <= _TABLE_LIMIT:
-            self._mul = [[self._mul_raw(a, b) for b in range(self.q)] for a in range(self.q)]
-        else:
-            self._mul = None
+        self._mul = self._mul_table() if self.nu > 1 and self.q <= _TABLE_LIMIT else None
 
     # -- encoding -----------------------------------------------------------
 
@@ -168,6 +170,25 @@ class FieldCtx:
             for i in range(nu):
                 prod[k - nu + i] -= c * m[i]
         return self.from_coeffs(prod[:nu])
+
+    def _mul_table(self) -> list[list[int]]:
+        """The q-by-q product table: entry (a, b) is exp[log a + log b] over the
+        powers of the first unit whose powers reach all q - 1 units, and row
+        and column 0 are 0."""
+        q = self.q
+        for g in self.units():
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._mul_raw(x, g)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for k, a in enumerate(exp):
+            log[a] = k
+        exp += exp  # log a + log b < 2(q - 1)
+        logs = log[1:]
+        return [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
 
     def mul(self, a: int, b: int) -> int:
         if self.nu == 1:

@@ -19,7 +19,11 @@ from .field import FieldCtx, power
 
 
 class Poly:
-    """Element of F_q[t] as a trimmed little-endian coefficient tuple."""
+    """Element of F_q[t] as a trimmed little-endian coefficient tuple.
+
+    ``Poly(ctx, coeffs)`` checks that every coefficient is an F_q encoding;
+    arithmetic builds its results with :func:`_trusted`, which only trims.
+    """
 
     __slots__ = ("ctx", "coeffs")
 
@@ -37,11 +41,11 @@ class Poly:
 
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, ())
+        return _trusted(ctx, [])
 
     @classmethod
     def one(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (1,))
+        return _trusted(ctx, [1])
 
     @classmethod
     def constant(cls, ctx: FieldCtx, a: int) -> "Poly":
@@ -50,13 +54,13 @@ class Poly:
     @classmethod
     def gen(cls, ctx: FieldCtx) -> "Poly":
         """The variable t."""
-        return cls(ctx, (0, 1))
+        return _trusted(ctx, [0, 1])
 
     @classmethod
     def t_power(cls, ctx: FieldCtx, k: int) -> "Poly":
         if k < 0:
             raise ValueError("t_power wants k >= 0")
-        return cls(ctx, (0,) * k + (1,))
+        return _trusted(ctx, [0] * k + [1])
 
     # -- basic queries ------------------------------------------------------
 
@@ -87,72 +91,93 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     def _same_ring(self, other: "Poly") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mixed coefficient fields")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._same_ring(other)
-        ctx = self.ctx
+        add = self.ctx.add
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = ctx.add(out[i], c)
-        return Poly(ctx, out)
+        out = [add(x, y) for x, y in zip(a, b)]
+        out += a[len(b) :]
+        return _trusted(self.ctx, out)
 
     def __neg__(self) -> "Poly":
-        ctx = self.ctx
-        return Poly(ctx, [ctx.neg(c) for c in self.coeffs])
+        neg = self.ctx.neg
+        return _trusted(self.ctx, [neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._same_ring(other)
+        sub, neg = self.ctx.sub, self.ctx.neg
+        a, b = self.coeffs, other.coeffs
+        out = [sub(x, y) for x, y in zip(a, b)]
+        out += a[len(b) :] if len(a) >= len(b) else map(neg, b[len(a) :])
+        return _trusted(self.ctx, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same_ring(other)
         ctx = self.ctx
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly.zero(ctx)
+            return _trusted(ctx, [])
+        add, mul = ctx.add, ctx.mul
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(b, i):
                     if bj:
-                        out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
-        return Poly(ctx, out)
+                        out[j] = add(out[j], mul(ai, bj))
+        return _trusted(ctx, out)
 
     def scale(self, a: int) -> "Poly":
         """Multiply by the field element a; self itself at a = 1."""
         if a == 1:
             return self
-        ctx = self.ctx
-        return Poly(ctx, [ctx.mul(a, c) for c in self.coeffs])
+        mul = self.ctx.mul
+        return _trusted(self.ctx, [mul(a, c) for c in self.coeffs])
 
-    def __divmod__(self, other: "Poly"):
+    def _divide(self, other: "Poly", want_quotient: bool):
+        """Long division of self by other: (quotient coefficients, or None
+        unless wanted, and the untrimmed remainder coefficients).
+
+        Each step pops the remainder's leading term and subtracts its
+        multiple of other from the terms below it; a monic divisor needs
+        no inverse.
+        """
         self._same_ring(other)
-        if other.is_zero():
+        b = other.coeffs
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
         ctx = self.ctx
-        db = other.deg
-        inv_lead = ctx.inv(other.coeffs[-1])
+        sub, mul = ctx.sub, ctx.mul
+        body, lead = b[:-1], b[-1]
+        inv_lead = 1 if lead == 1 else ctx.inv(lead)
         rem = list(self.coeffs)
-        if len(rem) - 1 < db:
-            return Poly.zero(ctx), self
-        quot = [0] * (len(rem) - db)
-        for shift in range(len(rem) - 1 - db, -1, -1):
-            c = ctx.mul(rem[shift + db], inv_lead)
+        top = len(rem) - len(b)  # deg self - deg other
+        quot = [0] * max(0, top + 1) if want_quotient else None
+        for shift in range(top, -1, -1):
+            c = rem.pop()
             if c:
-                quot[shift] = c
-                for i, bi in enumerate(other.coeffs):
-                    rem[shift + i] = ctx.sub(rem[shift + i], ctx.mul(c, bi))
-        return Poly(ctx, quot), Poly(ctx, rem)
+                if inv_lead != 1:
+                    c = mul(c, inv_lead)
+                if want_quotient:
+                    quot[shift] = c
+                for i, bi in enumerate(body, shift):
+                    if bi:
+                        rem[i] = sub(rem[i], mul(c, bi))
+        return quot, rem
+
+    def __divmod__(self, other: "Poly"):
+        quot, rem = self._divide(other, True)
+        return _trusted(self.ctx, quot), _trusted(self.ctx, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
+        return _trusted(self.ctx, self._divide(other, True)[0])
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        return _trusted(self.ctx, self._divide(other, False)[1])
 
     def __pow__(self, e: int, mod: "Poly | None" = None) -> "Poly":
         """self**e, or with ``pow(self, e, mod)`` self**e % mod reduced at every step."""
@@ -176,7 +201,7 @@ class Poly:
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
-            and self.ctx == other.ctx
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
             and self.coeffs == other.coeffs
         )
 
@@ -211,6 +236,17 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _trusted(ctx: FieldCtx, cs: list) -> Poly:
+    """The Poly with coefficient list cs, trailing zeros trimmed; the
+    entries are taken to be F_q encodings, which arithmetic on Polys keeps."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    out = object.__new__(Poly)
+    out.ctx = ctx
+    out.coeffs = tuple(cs)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,27 @@ def test_power_is_repeated_multiplication(F9):
         power(7, -1, 1)
 
 
+def test_power_starts_at_the_lowest_set_bit():
+    products = []
+
+    def mul(x, y):
+        products.append((x, y))
+        return x * y
+
+    for e in range(300):
+        products.clear()
+        assert power(3, e, 1, mul) == 3**e
+        assert len(products) == (e.bit_length() + e.bit_count() - 2 if e else 0), e
+
+
+def test_mul_table_is_the_raw_product():
+    for p, nu in ((3, 2), (5, 2), (3, 3)):
+        F = FieldCtx(p, nu)
+        for a in F.elements():
+            for b in F.elements():
+                assert F._mul[a][b] == F._mul_raw(a, b), (F.q, a, b)
+
+
 def test_prime_field_has_one_model():
     # nu = 1 arithmetic is mod p whatever degree-1 modulus is named
     F3, shifted = FieldCtx(3), FieldCtx(3, 1, (2, 1))

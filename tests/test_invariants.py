@@ -231,6 +231,43 @@ def test_one_factor_loop():
     assert _top_level_calls("derivative") == set()
 
 
+def test_one_division_loop():
+    """Long division is written once, as ``Poly._divide``: it is the one loop
+    in ``polyring`` that subtracts a multiple of the divisor (a ``sub`` of a
+    ``mul``), ``%``, ``//`` and ``divmod`` each call it, and nothing outside
+    ``Poly`` does."""
+
+    def name(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def subtracts_multiple(node):
+        return (
+            isinstance(node, ast.Call)
+            and name(node.func) == "sub"
+            and any(isinstance(a, ast.Call) and name(a.func) == "mul" for a in node.args)
+        )
+
+    tree = ast.parse((ROOT / "polyring.py").read_text())
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    dividing = {
+        fn.name
+        for fn in functions.values()
+        for loop in ast.walk(fn)
+        if isinstance(loop, (ast.For, ast.While)) and any(map(subtracts_multiple, ast.walk(loop)))
+    }
+    assert dividing == {"_divide"}
+    for method in ("__mod__", "__floordiv__", "__divmod__"):
+        calls = {name(node.func) for node in ast.walk(functions[method]) if isinstance(node, ast.Call)}
+        assert "_divide" in calls, method
+    assert _top_level_calls("_divide") == {"polyring.Poly"}
+
+
+def test_trusted_results_stay_in_polyring():
+    """Only F_q[t] arithmetic builds a ``Poly`` without checking its
+    coefficients; every other module goes through ``Poly(ctx, coeffs)``."""
+    assert {c.split(".")[0] for c in _top_level_calls("_trusted")} == {"polyring"}
+
+
 def test_rows_are_derived_in_forms():
     """Primitive and morphism counts are arithmetic on the N sequence, done in
     ``forms`` alone (``forms.table_rows`` for a table's rows), and the routes

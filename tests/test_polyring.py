@@ -56,6 +56,36 @@ def test_arithmetic_identities(F3, F9):
                 assert rem.is_zero() or rem.deg < b.deg
 
 
+@pytest.mark.parametrize("p, nu", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (10007, 1), (23, 2)])
+def test_kernel_agreement(p, nu):
+    """divmod, %, //, -, and pow with a modulus agree with each other and with
+    + and *, over monic and non-monic divisors; F_529 multiplies untabled."""
+    ctx = FieldCtx(p, nu)
+    q = ctx.q
+    rng = random.Random(q)
+
+    def well_formed(x):
+        return type(x.coeffs) is tuple and x.coeffs[-1:] != (0,) and all(0 <= c < q for c in x.coeffs)
+
+    for _ in range(30):
+        a, c = _random_poly(ctx, rng, 6), _random_poly(ctx, rng, 6)
+        for lead in (1, rng.randrange(2, q)):
+            b = Poly(ctx, [rng.randrange(q) for _ in range(rng.randrange(4))] + [lead])
+            quo, rem = divmod(a, b)
+            assert quo * b + rem == a and rem.deg < b.deg, (a, b)
+            assert a // b == quo and a % b == rem
+            e = rng.randrange(7)
+            power = pow(a, e, b)
+            assert power == a**e % b, (a, e, b)
+            results = (quo, rem, a - c, c - a, a - a, a + c, -a, a * c, a.scale(rng.randrange(q)), power)
+            assert all(map(well_formed, results)), results
+        assert a - c == a + (-c) and c - a == c + (-a)
+    assert (ctx._mul is None) == (nu == 1 or q == 529)
+    for bad in (q, -1):
+        with pytest.raises(ValueError, match="not an F_q encoding"):
+            Poly(ctx, [bad])
+
+
 def test_mixed_fields_are_refused(F3):
     F7 = FIELDS[7]
     a, b = Poly(F3, [1, 2, 1]), Poly(F7, [3, 1])
@@ -179,7 +209,7 @@ def _sieved_irreducibles(ctx, maxdeg):
 @pytest.mark.parametrize(
     "p, nu, maxdeg", [(3, 1, 6), (5, 1, 4), (3, 2, 3), (5, 2, 2), (3, 3, 2)]
 )
-def test_factorize_matches_trial_division(p, nu, maxdeg):
+def test_factor_type_matches_trial_division(p, nu, maxdeg):
     ctx = FieldCtx(p, nu)
     found = _sieved_irreducibles(ctx, maxdeg)
     for d in range(1, maxdeg + 1):
