@@ -60,6 +60,8 @@ F9 = FieldCtx(3, 2)
 g = QuadForm(F9, (1, 1, 1))
 print("\nover F_9:", count_exact(g, 1), "=", brute_count(g, 1), "(closed = brute)")
 
-# big boxes stay cheap for the closed formulas
+# big boxes stay cheap for the closed formulas, and for the circle route,
+# which sums P + 1 closed layers
 big = QuadForm(F3, (1, 1, 1, 1, 1, 1))
 print("\nN(40) for six variables has", len(str(count_exact(big, 40))), "digits")
+print("circle reassembly agrees:", count_circle(big, 40) == count_exact(big, 40))

@@ -14,7 +14,7 @@ Layers, bottom to top:
 * :mod:`quadricpoints.forms`      - diagonal forms, case tags, derived counts
 * :mod:`quadricpoints.cyclotomic` - exact integer arithmetic in Z[zeta_p]
 * :mod:`quadricpoints.characters` - additive characters and ball integrals
-* :mod:`quadricpoints.expsums`    - Gauss sums, complete sums, phi sums, arc integrals
+* :mod:`quadricpoints.expsums`    - Gauss sums, complete sums, layer and phi sums, arc integrals
 * :mod:`quadricpoints.formulas`   - closed-form counts
 * :mod:`quadricpoints.oracle`     - brute-force and convolution enumerators,
   which import only ``field`` and ``forms``, and numpy when first called
@@ -30,6 +30,7 @@ from .expsums import (
     form_exp_sum,
     gauss_sum,
     gauss_sum_prime_power,
+    layer_sum_closed,
     local_factor_closed,
     local_factor_direct,
     phi_degree_sum,
@@ -94,6 +95,7 @@ __all__ = [
     "count_primitive",
     "morphism_count",
     "phi_degree_sum",
+    "layer_sum_closed",
     "phi_power_sum",
     "brute_count",
     "convolution_count",

@@ -24,7 +24,9 @@ and P = deg r the box is the set of residues mod r, so S(a/r) is the
 complete sum of f at a/r.
 
 On the closed side each totient sum over monic strata is one
-``geometric_sum`` in q, and ``arc_integral_closed`` is one ``phi_power_sum``.
+``geometric_sum`` in q, ``layer_sum_closed(f, rho)``, the sum of S_r(f)
+over monic r of degree rho, is one ``phi_degree_sum``, and
+``arc_integral_closed`` is one ``phi_power_sum``.
 """
 
 from __future__ import annotations
@@ -158,6 +160,24 @@ def phi_degree_sum(q: int, rho: int) -> int:
     if rho == 0:
         return 1
     return (q - 1) * q ** (2 * rho - 1)
+
+
+def layer_sum_closed(f: QuadForm, rho: int) -> int:
+    """sum of S_r(f) over monic r of degree rho, one layer of the circle method.
+
+    Even n:  eps^rho q^(rho n/2) phi_deg(rho), since (d / r) = eps^rho
+             on the whole layer.
+    Odd n:   only squares r = s^2 contribute, and phi(s^2) = |s| phi(s),
+             so the layer is 0 at odd rho and q^(rho(n+1)/2) phi_deg(rho/2)
+             at even rho.
+    """
+    if rho < 0:
+        raise ValueError("rho must be >= 0")
+    q = f.ctx.q
+    tag = classify(f)
+    if tag is CaseTag.ODD:
+        return 0 if rho % 2 else q ** (rho * (f.n + 1) // 2) * phi_degree_sum(q, rho // 2)
+    return tag.epsilon**rho * q ** (rho * f.n // 2) * phi_degree_sum(q, rho)
 
 
 def geometric_sum(x, M: int):

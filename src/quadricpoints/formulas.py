@@ -13,18 +13,18 @@ poles (odd n = 3 for N, split n = 4 for both) are the ratio x = 1 of one
 number of degree-P morphisms from the projective line into the quadric.
 
 Two independent evaluation routes are provided: ``count_exact`` applies
-the case formulas, ``count_circle`` reassembles N(P) from closed local
-factors and arc integrals.  They agree exactly, and the enumeration
-oracles in :mod:`quadricpoints.oracle` confirm both.
+the case formulas, ``count_circle`` sums the circle method's P + 1 layers,
+each a closed layer sum of local factors times a closed arc integral.
+They agree exactly, and the enumeration oracles in
+:mod:`quadricpoints.oracle` confirm both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .expsums import arc_integral_closed, geometric_sum, local_factor_closed
+from .expsums import arc_integral_closed, geometric_sum, layer_sum_closed
 from .forms import CaseTag, QuadForm, classify, primitive_from_counts
-from .polyring import enumerate_monic
 
 
 # ---------------------------------------------------------------------------
@@ -61,20 +61,20 @@ def count_exact(f: QuadForm, P: int) -> int:
 
 
 def count_circle(f: QuadForm, P: int) -> int:
-    """N(P) reassembled as sum over monic r, deg r <= P, of S_r(f) |r|^(-n) I(deg r, P).
+    """N(P) from the circle method: P + 1 terms, one per degree rho <= P of
+    the moduli, each the closed layer sum of S_r(f) over monic r of degree
+    rho, times q^(-n rho), times the closed arc integral I(rho, P).
 
-    Works for every n >= 1; the local factors and arc integrals are the
-    closed ones, so this is an independent route to the same integer.
+    Works for every n >= 1; no modulus is enumerated, and the layer sums
+    and arc integrals are closed forms of their own, so this is an
+    independent route to the same integer.
     """
     if P < 0:
         raise ValueError("the box exponent P must be >= 0")
-    q = f.ctx.q
-    n = f.n
-    total = Fraction(0)
-    for rho in range(P + 1):
-        arc = arc_integral_closed(f, rho, P)
-        s_layer = sum(local_factor_closed(f, r) for r in enumerate_monic(f.ctx, rho))
-        total += Fraction(s_layer, q ** (n * rho)) * arc
+    q, n = f.ctx.q, f.n
+    total = sum(
+        Fraction(layer_sum_closed(f, rho), q ** (n * rho)) * arc_integral_closed(f, rho, P) for rho in range(P + 1)
+    )
     return _as_int(total, "N(P) from the circle decomposition")
 
 

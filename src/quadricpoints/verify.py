@@ -20,6 +20,7 @@ from .expsums import (
     form_exp_sum,
     gauss_sum,
     gauss_sum_prime_power,
+    layer_sum_closed,
     local_factor_closed,
     local_factor_direct,
     phi_degree_sum,
@@ -129,6 +130,17 @@ def suite_local(ctx: FieldCtx, nmax: int = 4, maxdeg: int = 2) -> list[dict]:
     return out
 
 
+def suite_layers(ctx: FieldCtx, nmax: int = 4, maxdeg: int = 3) -> list[dict]:
+    """The closed layer sum against the closed local factors summed over
+    every monic modulus of the layer's degree."""
+    out = []
+    for f in _form_family(ctx, nmax):
+        for rho in range(0, maxdeg + 1):
+            lhs = sum(local_factor_closed(f, r) for r in enumerate_monic(ctx, rho))
+            out.append(_record(f"layer[{f.coeffs},rho={rho}]", lhs=lhs, rhs=layer_sum_closed(f, rho)))
+    return out
+
+
 def suite_weyl(ctx: FieldCtx, n: int = 3, pmax: int = 2) -> list[dict]:
     """S(a/r + theta) |r|^n == S_{a,r}(f) S(theta) on admissible points."""
     out = []
@@ -221,6 +233,7 @@ def suite_phis(ctx: FieldCtx, maxdeg: int = 3, mmax: int = 4) -> list[dict]:
 SUITES = {
     "gauss": suite_gauss,
     "local": suite_local,
+    "layers": suite_layers,
     "weyl": suite_weyl,
     "arcs": suite_arcs,
     "counts": suite_counts,

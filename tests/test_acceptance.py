@@ -32,6 +32,7 @@ from test_oracle import derived_counts, primitive_reference
 from quadricpoints.verify import (
     suite_arcs,
     suite_gauss,
+    suite_layers,
     suite_local,
     suite_phis,
     suite_weyl,
@@ -141,11 +142,15 @@ def test_04_gauss_sum_identities(capsys):
 
 
 def test_05_complete_sum_identities(capsys):
-    """Complete quadratic sums: closed values, multiplicativity, vanishing."""
+    """Complete quadratic sums: closed values, multiplicativity, vanishing,
+    and the closed layer sums against the local factors of every modulus."""
     failures = []
     ctx = FieldCtx(3)
     records = suite_local(ctx, nmax=4, maxdeg=2)
     failures.extend(r["id"] for r in records if not r["ok"])
+    for layer_ctx in (ctx, FieldCtx(5), FieldCtx(3, 2)):
+        records = suite_layers(layer_ctx)
+        failures.extend(f"q={layer_ctx.q} {r['id']}" for r in records if not r["ok"])
     # odd variable count kills every non-square modulus
     t = Poly.gen(ctx)
     f3 = QuadForm(ctx, (1, 1, 1))

@@ -17,6 +17,7 @@ from quadricpoints import (
     count_primitive,
     enumerate_below,
     enumerate_monic,
+    layer_sum_closed,
     morphism_count,
     phi_degree_sum,
     phi_power_sum,
@@ -134,7 +135,19 @@ def test_count_circle_agrees_with_exact():
         for n in range(3, 7):
             for coeffs in [(1,) * n, (1,) * (n - 1) + (nonsquare,)]:
                 f = QuadForm(ctx, coeffs)
-                for P in range(4 if ctx.q == 3 else 3):
+                for P in range(9):
+                    assert count_circle(f, P) == count_exact(f, P), (ctx.q, coeffs, P)
+
+
+def test_count_circle_agrees_with_exact_in_large_boxes():
+    # every case tag at n = 1..6 over prime and non-prime fields, at P sampled up to
+    # 200: the circle route takes P + 1 closed terms, so a large box costs no more
+    for ctx in (FieldCtx(3), FieldCtx(5), FieldCtx(3, 2)):
+        nonsquare = ctx.nonsquare()
+        for n in range(1, 7):
+            for coeffs in [(1,) * n, (1,) * (n - 1) + (nonsquare,)]:
+                f = QuadForm(ctx, coeffs)
+                for P in (9, 10, 31, 64, 99, 128, 199, 200):
                     assert count_circle(f, P) == count_exact(f, P), (ctx.q, coeffs, P)
 
 
@@ -147,17 +160,14 @@ def test_count_circle_small_n(F3):
 
 
 def test_closed_counts_below_three_variables():
-    # every case tag at n = 1, 2 over prime and non-prime fields, from N(0) = 1 up;
-    # the circle route enumerates q^P moduli, so it stops earlier
+    # every case tag at n = 1, 2 over prime and non-prime fields, from N(0) = 1 up
     for ctx in [FieldCtx(p) for p in (3, 5, 7, 11)] + [FieldCtx(3, 2), FieldCtx(5, 2), FieldCtx(3, 3)]:
         nonsquare = ctx.nonsquare()
         for coeffs in [(1,), (nonsquare,), (1, 1), (1, nonsquare)]:
             f = QuadForm(ctx, coeffs)
             split = classify(f) is CaseTag.SPLIT_EVEN
             for P in range(9):
-                assert count_exact(f, P) == (2 * ctx.q**P - 1 if split else 1)
-            for P in range(4 if ctx.q == 3 else 3):
-                assert count_circle(f, P) == count_exact(f, P)
+                assert count_exact(f, P) == count_circle(f, P) == (2 * ctx.q**P - 1 if split else 1)
             for P in range(1, 9):
                 assert count_primitive(f, P) == (2 if split else 0)
                 assert morphism_count(f, P) == 0
@@ -206,6 +216,8 @@ def test_phi_degree_sum_matches_enumeration(F3, F5):
     assert phi_degree_sum(3, 0) == 1
     with pytest.raises(ValueError):
         phi_degree_sum(3, -1)
+    with pytest.raises(ValueError):  # odd n: a negative odd degree is refused, not a zero layer
+        layer_sum_closed(QuadForm(F3, (1, 1, 1)), -1)
 
 
 @pytest.mark.parametrize("q", [3, 5])

@@ -56,6 +56,10 @@ JOBS = [
     # exact at n = 1 (N = 1, no morphisms) and on a split plane (N = 2q^P - 1)
     ["table", "--p", "5", "--coeffs", "2", "--P-range", "1..3", *ALL],
     ["table", "--q", "9", "--coeffs", "1,1", "--P-range", "1..2", *ALL],
+    # closed layer sums against the local factors summed over each layer's moduli
+    ["verify", "layers", "--p", "3"],
+    # the circle route in a large box: P + 1 closed terms
+    ["count", "--p", "3", "--coeffs", "1,1,1", "--P", "1000", "--method", "exact,circle"],
 ]
 
 

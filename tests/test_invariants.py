@@ -100,6 +100,9 @@ def test_oracle_shares_no_code_with_the_closed_routes():
     assert set(oracle) <= {"field", "forms"}, oracle
     forms = _package_imports("forms")
     assert set(forms) <= {"field", "polyring"}, forms
+    # the circle route is closed: it sums closed layers and enumerates no modulus
+    formulas = _package_imports("formulas")
+    assert set(formulas) <= {"expsums", "forms"}, formulas
     # only the layers that compare the routes (verify, cli and the package) import oracle
     for path in sorted(ROOT.glob("*.py")):
         if path.stem not in ("oracle", "verify", "cli", "__init__"):

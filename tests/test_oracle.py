@@ -208,9 +208,8 @@ def test_morphism_is_primitive_difference(F3):
 #: odd q <= 49 as (p, nu), prime and extension fields (nu = 2, 3)
 _SWEEP_FIELDS = [(p, nu) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47) for nu in (1, 2, 3) if p**nu <= 49]
 
-#: the sweep's cap on brute's larger half, q^(ceil(n/2) P), and on count_circle's
-#: q^P moduli (about 0.5 ms each)
-_SWEEP_TUPLES, _SWEEP_MODULI = 2 * 10**5, 10**3
+#: the sweep's cap on brute's larger half, q^(ceil(n/2) P)
+_SWEEP_TUPLES = 2 * 10**5
 
 #: the cap on the gcd reference's larger half and on the solutions it lists
 _REFERENCE_TUPLES, _REFERENCE_SOLUTIONS = 2 * 10**4, 5 * 10**4
@@ -255,19 +254,17 @@ def _wider_field_grid(p, nu):
 
 
 def _check_oracles_agree(case, sweep=False):
-    """brute == conv == exact, and the closed primitive and morphism counts
+    """brute == conv == circle == exact, and the closed primitive and morphism counts
     against those derived from brute where q^(n(P+1)) is within the
     budget, and against the gcd reference where n <= 4, its larger half
     q^(ceil(n/2)(P+1)) is at most _REFERENCE_TUPLES and the N(P+1)
-    solutions it lists at most _REFERENCE_SOLUTIONS.  The sweep also
-    checks circle where q^P <= _SWEEP_MODULI, and the derived counts only
-    where brute's larger half at P + 1 is at most _SWEEP_TUPLES."""
+    solutions it lists at most _REFERENCE_SOLUTIONS.  The sweep checks
+    the derived counts only where brute's larger half at P + 1 is at most
+    _SWEEP_TUPLES."""
     (p, nu), coeffs, P = case
     f, q, n = QuadForm(_field(p, nu), coeffs), p**nu, len(coeffs)
     want = count_exact(f, P)
-    assert brute_count(f, P) == convolution_count(f, P) == want, case
-    if sweep and q**P <= _SWEEP_MODULI:
-        assert count_circle(f, P) == want, case
+    assert brute_count(f, P) == convolution_count(f, P) == count_circle(f, P) == want, case
     half = q ** ((n - n // 2) * (P + 1))
     if q ** (n * (P + 1)) > DEFAULT_BUDGET or (sweep and half > _SWEEP_TUPLES):
         return
