@@ -26,7 +26,13 @@ complete sum of f at a/r.
 On the closed side each totient sum over monic strata is one
 ``geometric_sum`` in q, ``layer_sum_closed(f, rho)``, the sum of S_r(f)
 over monic r of degree rho, is one ``phi_degree_sum``, and
-``arc_integral_closed`` is one ``phi_power_sum``.
+``arc_integral_closed`` is one ``phi_power_sum``.  ``geometric_sum``
+takes an int ratio; a ratio of size at most one, eps q^(-k), is summed
+reversed (``scaled_geometric_sum``), so each phi power sum and arc
+integral is an integer over a power of q, a pair the ``scaled_*``
+functions return and the counts of :mod:`~quadricpoints.formulas` end
+with one exact division.  The Fraction forms are built once from that
+pair.
 """
 
 from __future__ import annotations
@@ -180,11 +186,37 @@ def layer_sum_closed(f: QuadForm, rho: int) -> int:
     return tag.epsilon**rho * q ** (rho * f.n // 2) * phi_degree_sum(q, rho)
 
 
-def geometric_sum(x, M: int):
-    """sum of x^k over 0 <= k < M, exact for an int or Fraction x; M at the pole x = 1."""
+def geometric_sum(x: int, M: int) -> int:
+    """sum of x^j over 0 <= j < M for an int x, in exact integers; M at the pole x = 1."""
     if M < 0:
         raise ValueError("M must be >= 0")
-    return M if x == 1 else Fraction(1 - x**M, 1 - x)
+    return M if x == 1 else (x**M - 1) // (x - 1)
+
+
+def scaled_geometric_sum(eps: int, q: int, e: int, M: int) -> tuple[int, int]:
+    """sum of x^j over 0 <= j < M at x = eps q^e, eps = +-1, as a pair (g, k)
+    worth g / q^k.
+
+    A ratio above one is an int and is summed as it stands.  A ratio
+    x = eps q^(-k) of size at most one is summed reversed, from its last
+    term: x^(M-1) G(1/x, M) = eps^(M-1) G(eps q^k, M) / q^(k(M-1)), with
+    eps^(M-1) = eps^(M+1), so g is an integer and the poles x = +-1 are
+    ``geometric_sum``'s.
+    """
+    if e > 0:
+        return geometric_sum(eps * q**e, M), 0
+    return eps ** (M + 1) * geometric_sum(eps * q**-e, M), -e * max(M - 1, 0)
+
+
+def scaled_phi_power_sum(q: int, M: int, c: int, signed: bool = False) -> tuple[int, int]:
+    """``phi_power_sum(q, M, c, signed)`` as a pair (a, k) worth a / q^k, for M >= -1.
+
+    The strata rho = 1..M add (q-1)/q x^rho, x = eps q^(2-c), and
+    x + ... + x^M = G(x, M + 1) - 1.  With G(x, M + 1) = g / q^k that is
+    (q^k + (q-1) g) / q^(k+1); at M = -1 the same expression is 1/q.
+    """
+    g, k = scaled_geometric_sum(-1 if signed else 1, q, 2 - c, M + 1)
+    return q**k + (q - 1) * g, k + 1
 
 
 def phi_power_sum(q: int, M: int, c: int, signed: bool = False) -> Fraction:
@@ -193,9 +225,13 @@ def phi_power_sum(q: int, M: int, c: int, signed: bool = False) -> Fraction:
     Stratum rho >= 1 adds (q-1)/q * x^rho with x = eps q^(2-c), eps = -1
     when signed, so the sum is one ``geometric_sum``.  Its pole x = 1,
     the unsigned c = 2 where every stratum adds (q-1)/q, is that sum's.
+    The sum is an integer over a power of q (``scaled_phi_power_sum``),
+    made a Fraction once.
     """
-    x = (-1 if signed else 1) * Fraction(q) ** (2 - c)
-    return 1 + Fraction(q - 1, q) * x * geometric_sum(x, M)
+    if M < 0:
+        raise ValueError("M must be >= 0")
+    a, k = scaled_phi_power_sum(q, M, c, signed)
+    return Fraction(a, q**k)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +284,27 @@ def arc_integral_direct(f: QuadForm, rho: int, P: int) -> Fraction:
     return ball_integral(f.ctx, -(rho + P), max(2 * P - 1, 0), lambda tail: weyl_sum(f, tail, P))
 
 
+def scaled_arc_integral(f: QuadForm, rho: int, P: int) -> tuple[int, int]:
+    """I(rho, P) as a pair (a, k) worth a / q^k, k of either sign.
+
+    I(rho, P) = q^(P(n-2)+1) T(P - rho - 1), T the phi power sum of
+    ``arc_integral_closed``, so the pair is T's with k lowered by
+    P(n-2) + 1.  At rho = P, T(-1) = 1/q gives q^(P(n-2)).
+    """
+    if P < 0:
+        raise ValueError("the box exponent P must be >= 0")
+    if not 0 <= rho <= P:
+        raise ValueError("arc integrals are only defined for 0 <= deg r <= P")
+    n = f.n
+    M = P - rho - 1
+    tag = classify(f)
+    if tag is CaseTag.ODD:
+        a, k = scaled_phi_power_sum(f.ctx.q, M // 2, n)
+    else:
+        a, k = scaled_phi_power_sum(f.ctx.q, M, n // 2 + 1, signed=tag.epsilon < 0)
+    return a, k - P * (n - 2) - 1
+
+
 def arc_integral_closed(f: QuadForm, rho: int, P: int) -> Fraction:
     """Closed form of I(rho, P), the arc integral at any modulus of degree
     rho, as an exact rational.
@@ -256,20 +313,9 @@ def arc_integral_closed(f: QuadForm, rho: int, P: int) -> Fraction:
     is q^(P(n-2)).  Below that it is q^(P(n-2)+1) T(P - rho - 1), with
     T(M) the sum of S_(t^m) q^(-nm) over m <= M.  S_(t^m) is
     eps^m phi(t^m) q^(mn/2) for even n, and for odd n that with eps = 1
-    at even m and 0 at odd m, so T is a phi power sum.
+    at even m and 0 at odd m, so T is a phi power sum.  The value is an
+    integer over a power of q (``scaled_arc_integral``), made a Fraction
+    once.
     """
-    if P < 0:
-        raise ValueError("the box exponent P must be >= 0")
-    if not 0 <= rho <= P:
-        raise ValueError("arc integrals are only defined for 0 <= deg r <= P")
-    q = f.ctx.q
-    n = f.n
-    if rho == P:
-        return Fraction(q) ** (P * (n - 2))
-    M = P - rho - 1
-    tag = classify(f)
-    if tag is CaseTag.ODD:
-        T = phi_power_sum(q, M // 2, n)
-    else:
-        T = phi_power_sum(q, M, n // 2 + 1, signed=tag.epsilon < 0)
-    return Fraction(q) ** (P * (n - 2) + 1) * T
+    a, k = scaled_arc_integral(f, rho, P)
+    return a * Fraction(f.ctx.q) ** -k

@@ -22,7 +22,8 @@ from quadricpoints import (
     phi_degree_sum,
     phi_power_sum,
 )
-from quadricpoints.expsums import geometric_sum
+from quadricpoints import formulas
+from quadricpoints.expsums import geometric_sum, scaled_geometric_sum
 from quadricpoints.forms import (
     CaseTag,
     QuadForm,
@@ -121,11 +122,27 @@ def test_counts_at_the_poles_match_their_own_expressions(p, nu):
 
 
 def test_geometric_sum_is_the_term_by_term_sum():
-    for x in (1, -1, 3, -3, Fraction(1, 3), Fraction(-1, 3)):
+    for x in (1, -1, 3, -3):
         for M in range(9):
             assert geometric_sum(x, M) == sum(x**k for k in range(M)), (x, M)
     with pytest.raises(ValueError):
         geometric_sum(3, -1)
+
+
+def test_scaled_geometric_sum_is_the_term_by_term_sum():
+    # x = eps q^e; a ratio of size at most one, e = -k, is summed reversed.  The
+    # counts reach k = 2 at n = 1, k = 1 at n = 2, and k = 0 at the odd n = 3 pole,
+    # the split n = 4 pole and nonsplit n = 4, where x = -1; the phi power sums of
+    # the arc integrals reach k = c - 2
+    for q in (3, 5, 9):
+        for eps in (1, -1):
+            for e in range(-3, 3):
+                x = eps * Fraction(q) ** e
+                for M in range(9):
+                    g, k = scaled_geometric_sum(eps, q, e, M)
+                    assert k >= 0 and Fraction(g, q**k) == sum(x**j for j in range(M)), (q, eps, e, M)
+    with pytest.raises(ValueError):
+        scaled_geometric_sum(1, 3, -1, -1)
 
 
 def test_count_circle_agrees_with_exact():
@@ -149,6 +166,18 @@ def test_count_circle_agrees_with_exact_in_large_boxes():
                 f = QuadForm(ctx, coeffs)
                 for P in (9, 10, 31, 64, 99, 128, 199, 200):
                     assert count_circle(f, P) == count_exact(f, P), (ctx.q, coeffs, P)
+
+
+def test_count_circle_refuses_a_non_integral_total(monkeypatch, F3):
+    # a rho = P layer off by one moves the total by q^(-2P): the one exact division
+    # raises instead of rounding it away
+    layer = formulas.layer_sum_closed
+    for coeffs in ((1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2)):
+        f = QuadForm(F3, coeffs)
+        for P in (1, 2, 5):
+            monkeypatch.setattr(formulas, "layer_sum_closed", lambda f, rho, P=P: layer(f, rho) + (rho == P))
+            with pytest.raises(RuntimeError, match="non-integral"):
+                count_circle(f, P)
 
 
 def test_count_circle_small_n(F3):

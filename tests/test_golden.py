@@ -60,6 +60,8 @@ JOBS = [
     ["verify", "layers", "--p", "3"],
     # the circle route in a large box: P + 1 closed terms
     ["count", "--p", "3", "--coeffs", "1,1,1", "--P", "1000", "--method", "exact,circle"],
+    # an even one in a large box: nonsplit n = 4, whose count sums the ratio x = -1
+    ["count", "--p", "5", "--coeffs", "1,1,1,2", "--P", "300", "--method", "exact,circle"],
 ]
 
 

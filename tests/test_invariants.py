@@ -161,6 +161,13 @@ def test_closed_counts_branch_only_on_the_case():
     assert found == []
 
 
+def test_closed_counts_are_integer_only():
+    """formulas.py imports nothing from fractions: every closed count is an
+    integer over a power of q, ended by one exact division."""
+    tree = ast.parse((ROOT / "formulas.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if "fractions" in _absolute_imports(node)] == []
+
+
 def test_library_draws_no_random_numbers():
     """Every algorithm is deterministic, the factor search included, so a
     run's work and answer depend on its input alone."""
