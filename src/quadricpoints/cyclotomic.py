@@ -103,9 +103,6 @@ class CycInt:
         value = self.to_int()
         return hash((self.p, self.coeffs) if value is None else value)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     # -- conversions --------------------------------------------------------
 
     def to_int(self) -> int | None:

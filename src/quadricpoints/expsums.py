@@ -11,9 +11,9 @@ The hierarchy, for a diagonal form f = a_1 X_1^2 + ... + a_n X_n^2 (a
 gives the sign eps of the closed local factors):
 
 * ``weyl_sum(f, alpha, P)``          S(alpha) over the height box |x_i| < q^P
-* ``twisted_gauss_sum(a, r)``        sum psi(a x^2 / r) over residues x: S of X^2 at a/r, P = deg r
+* ``form_exp_sum(f, a, r)``          the complete sum, S at a/r and P = deg r, as a product
+* ``twisted_gauss_sum(a, r)``        sum psi(a x^2 / r) over residues x: the complete sum of X^2
 * ``gauss_sum(r)``                   tau_r, the twisted sum at a = 1
-* ``form_exp_sum(f, a, r)``          the n-variable complete sum, as a product
 * ``local_factor_direct(f, r)``      summed over numerators coprime to r
 * ``arc_integral_direct(f, rho, P)`` I(rho, P): S integrated over the arc ball at any a/r, deg r = rho
 
@@ -65,9 +65,8 @@ def _require_monic(r: Poly) -> None:
 
 def twisted_gauss_sum(a: Poly, r: Poly) -> CycInt:
     """sum over |x| < |r| of psi(a x^2 / r), a need not be coprime to r: the
-    Weyl sum of X^2 at a/r over the box P = deg r, whose terms read the
-    tail of a/r to index 2 deg r - 1."""
-    return weyl_sum(QuadForm(r.ctx, (1,)), expansion_tail(a, r, max(2 * r.deg - 1, 0)), r.deg)
+    complete sum of the one-variable form X^2."""
+    return form_exp_sum(QuadForm(r.ctx, (1,)), a, r)
 
 
 def gauss_sum(r: Poly) -> CycInt:
@@ -76,29 +75,28 @@ def gauss_sum(r: Poly) -> CycInt:
 
 
 def gauss_sum_prime_power(pi: Poly, k: int) -> CycInt:
-    """Closed form of tau_(pi^k) for monic irreducible pi.
+    """Closed form of tau_(pi^k) for monic irreducible pi: the twisted closed form at a = 1."""
+    return twisted_gauss_sum_prime_power(Poly.one(pi.ctx), pi, k)
+
+
+def twisted_gauss_sum_prime_power(a: Poly, pi: Poly, k: int) -> CycInt:
+    """Closed form of (a / pi)^k tau_(pi^k) for monic irreducible pi; requires gcd(a, pi) = 1.
 
     Even k gives the rational integer |pi|^(k/2); odd k reduces to the
-    degree-one-layer sum tau_pi times |pi|^((k-1)/2), so no square roots
-    or fourth roots of unity are ever materialized.
+    degree-one-layer sum tau_pi times (a / pi) |pi|^((k-1)/2), so no square
+    roots or fourth roots of unity are ever materialized.
     """
     if k < 1:
         raise ValueError("exponent must be >= 1")
     if not is_irreducible(pi) or not pi.is_monic():
         raise ValueError("base must be monic irreducible")
+    if not a % pi:
+        raise ValueError("numerator must be coprime to the base")
     ctx = pi.ctx
     size = ctx.q ** pi.deg
     if k % 2 == 0:
         return CycInt.from_int(ctx.p, size ** (k // 2))
-    return gauss_sum(pi) * (size ** ((k - 1) // 2))
-
-
-def twisted_gauss_sum_prime_power(a: Poly, pi: Poly, k: int) -> CycInt:
-    """(a / pi)^k * tau_(pi^k); requires gcd(a, pi) = 1."""
-    tau = gauss_sum_prime_power(pi, k)  # checks k and pi
-    if not a % pi:
-        raise ValueError("numerator must be coprime to the base")
-    return tau * _legendre(a, pi) ** (k % 2)
+    return gauss_sum(pi) * (_legendre(a, pi) * size ** ((k - 1) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +107,17 @@ def form_exp_sum(f: QuadForm, a: Poly, r: Poly) -> CycInt:
     """The complete n-variable sum  sum psi(a f(b) / r)  over residue tuples b.
 
     The character of a diagonal form splits over the coordinates, so the
-    sum is the product of one twisted Gauss sum per coefficient, and equal
-    coefficients give a power of one sum.
+    sum is a product of Weyl sums of c X^2 over the box P = deg r, one power
+    per distinct coefficient c, all at the tail of a/r expanded once, to
+    index 2 deg r - 1.
     """
     if a.ctx != f.ctx or r.ctx != f.ctx:
         raise ValueError("mixed coefficient fields")
-    out = CycInt.from_int(f.ctx.p, 1)
+    ctx = f.ctx
+    alpha = expansion_tail(a, r, max(2 * r.deg - 1, 0))
+    out = CycInt.from_int(ctx.p, 1)
     for c, k in Counter(f.coeffs).items():
-        out = out * twisted_gauss_sum(a.scale(c), r) ** k
+        out = out * weyl_sum(QuadForm(ctx, (c,)), alpha, r.deg) ** k
     return out
 
 

@@ -200,8 +200,6 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero in F_q")
-        if self.nu == 1:
-            return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:

@@ -138,9 +138,9 @@ class Poly:
         mul = self.ctx.mul
         return _trusted(self.ctx, [mul(a, c) for c in self.coeffs])
 
-    def _divide(self, other: "Poly", want_quotient: bool):
-        """Long division of self by other: (quotient coefficients, or None
-        unless wanted, and the untrimmed remainder coefficients).
+    def _divide(self, other: "Poly"):
+        """Long division of self by other: the quotient and the untrimmed
+        remainder coefficient lists.
 
         Each step pops the remainder's leading term and subtracts its
         multiple of other from the terms below it; a monic divisor needs
@@ -156,28 +156,27 @@ class Poly:
         inv_lead = 1 if lead == 1 else ctx.inv(lead)
         rem = list(self.coeffs)
         top = len(rem) - len(b)  # deg self - deg other
-        quot = [0] * max(0, top + 1) if want_quotient else None
+        quot = [0] * max(0, top + 1)
         for shift in range(top, -1, -1):
             c = rem.pop()
             if c:
                 if inv_lead != 1:
                     c = mul(c, inv_lead)
-                if want_quotient:
-                    quot[shift] = c
+                quot[shift] = c
                 for i, bi in enumerate(body, shift):
                     if bi:
                         rem[i] = sub(rem[i], mul(c, bi))
         return quot, rem
 
     def __divmod__(self, other: "Poly"):
-        quot, rem = self._divide(other, True)
+        quot, rem = self._divide(other)
         return _trusted(self.ctx, quot), _trusted(self.ctx, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
-        return _trusted(self.ctx, self._divide(other, True)[0])
+        return _trusted(self.ctx, self._divide(other)[0])
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return _trusted(self.ctx, self._divide(other, False)[1])
+        return _trusted(self.ctx, self._divide(other)[1])
 
     def __pow__(self, e: int, mod: "Poly | None" = None) -> "Poly":
         """self**e, or with ``pow(self, e, mod)`` self**e % mod reduced at every step."""
@@ -210,14 +209,6 @@ class Poly:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def encoding(self) -> int:
-        """Integer encoding sum(c_i * q**i), the inverse of poly_from_encoding."""
-        q = self.ctx.q
-        enc = 0
-        for i, c in enumerate(self.coeffs):
-            enc += c * q**i
-        return enc
 
     def __str__(self):
         if not self.coeffs:
@@ -352,7 +343,7 @@ def _legendre(a: Poly, pi: Poly) -> int:
 
 
 def poly_from_encoding(ctx: FieldCtx, enc: int) -> Poly:
-    """Inverse of Poly.encoding()."""
+    """The polynomial sum c_i t^i whose coefficients are the base-q digits of enc = sum c_i q^i."""
     if enc < 0:
         raise ValueError("negative encoding")
     q = ctx.q

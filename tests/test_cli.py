@@ -3,11 +3,15 @@
 import argparse
 import inspect
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import quadricpoints
 from quadricpoints import FieldCtx, QuadForm, count_exact
 from quadricpoints.cli import UsageError, _make_parser, _prime_power, main
 from quadricpoints.verify import SUITES
@@ -512,3 +516,53 @@ def test_verify_counts_checks_the_convolution(capsys, monkeypatch):
         "suite": "counts", "id": "N[(1, 1, 1),P=1]", "ok": False,
         "brute": 9, "exact": 9, "circle": 9, "conv": 10,
     }
+
+
+#: Runs each argv list of sys.argv[1] through ``cli.main`` in turn under the
+#: child's own flags and prints its optimize level and, per run, the exit
+#: code, stdout and stderr.
+OPTIMIZED_CHILD = """
+import contextlib, io, json, sys
+from quadricpoints import cli
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([sys.flags.optimize, runs]))
+"""
+
+
+def test_cli_runs_the_same_under_python_O(capsys):
+    """``python -O`` strips ``assert``; the static checks in test_invariants
+    show that no invariant is one, and this shows the behaviour survives:
+    a count, an identity suite and a budget refusal give the same exit code,
+    stderr and JSON ``data`` in an optimized child as in-process."""
+    jobs = [
+        ["count", "--p", "3", "--coeffs", "1,1,1", "--P-range", "1..6", "--method", "exact,circle"],
+        ["verify", "phis", "--p", "3"],
+        ["count", "--p", "3", "--coeffs", "1,1,1,1,1,1", "--P", "3", "--method", "brute", "--budget", "1000"],
+    ]
+    src = Path(quadricpoints.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHILD, json.dumps(jobs)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    optimize, runs = json.loads(child.stdout)
+    assert optimize == 1
+
+    def comparable(code, out, err):
+        doc = json.loads(out) if out else None
+        if doc is not None:
+            del doc["meta"]
+        return code, doc, err
+
+    here = [comparable(*run(capsys, *argv)) for argv in jobs]
+    assert [comparable(*r) for r in runs] == here
+    assert [code for code, _, _ in here] == [0, 0, 3]

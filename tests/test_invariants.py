@@ -1,7 +1,9 @@
 """Library invariants must survive ``python -O``, which strips ``assert`` and ``__debug__`` blocks."""
 
 import ast
+import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import quadricpoints
@@ -242,10 +244,11 @@ def test_one_factor_loop():
 
 
 def test_one_division_loop():
-    """Long division is written once, as ``Poly._divide``: it is the one loop
-    in ``polyring`` that subtracts a multiple of the divisor (a ``sub`` of a
-    ``mul``), ``%``, ``//`` and ``divmod`` each call it, and nothing outside
-    ``Poly`` does."""
+    """Long division is written once, as ``Poly._divide(self, other)``: it is
+    the one loop in ``polyring`` that subtracts a multiple of the divisor (a
+    ``sub`` of a ``mul``), it takes no switch (every call forms the quotient),
+    ``%``, ``//`` and ``divmod`` each call it, and nothing outside ``Poly``
+    does."""
 
     def name(func):
         return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -266,6 +269,7 @@ def test_one_division_loop():
         if isinstance(loop, (ast.For, ast.While)) and any(map(subtracts_multiple, ast.walk(loop)))
     }
     assert dividing == {"_divide"}
+    assert [a.arg for a in ast.walk(functions["_divide"].args) if isinstance(a, ast.arg)] == ["self", "other"]
     for method in ("__mod__", "__floordiv__", "__divmod__"):
         calls = {name(node.func) for node in ast.walk(functions[method]) if isinstance(node, ast.Call)}
         assert "_divide" in calls, method
@@ -327,3 +331,54 @@ def test_cli_builds_parsers_only_as_parser():
 
     tree = ast.parse((ROOT / "cli.py").read_text())
     assert [f"cli.py:{node.lineno}" for node in ast.walk(tree) if builds_argument_parser(node)] == []
+
+
+def test_every_function_has_a_caller():
+    """Every non-dunder function or method of the package is named somewhere
+    in ``src/``, ``demos/`` or ``bench/`` outside its own definition: as a
+    name, an attribute or a string constant (``bench/spans.py`` looks
+    functions up by string).  A method that overrides one of an outside base
+    class (``argparse``'s ``error``) is called by that base and counts too.
+
+    The check is by name, so of two definitions with one name a caller of
+    either covers both: ``Poly.is_zero``'s callers would hide a dead
+    ``CycInt.is_zero``.  Dunders are left out, so each ring type keeps its
+    operators.  Tests do not count as callers."""
+
+    def named(tree) -> Counter:
+        out = Counter()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                out[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out[node.value] += 1
+        return out
+
+    repo = ROOT.parents[1]
+    trees = [ast.parse(p.read_text()) for d in ("src", "demos", "bench") for p in sorted((repo / d).rglob("*.py"))]
+    everywhere = sum(map(named, trees), Counter())
+
+    def is_dunder(name) -> bool:
+        return name.startswith("__") and name.endswith("__")
+
+    def overrides(path, top, node) -> bool:
+        """Whether node is a method of the class top that a base class also defines."""
+        if not isinstance(top, ast.ClassDef) or node not in top.body:
+            return False
+        cls = getattr(importlib.import_module(f"quadricpoints.{path.stem}"), top.name)
+        return any(node.name in vars(base) for base in cls.__mro__[1:])
+
+    uncalled = []
+    for path in sorted(ROOT.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or is_dunder(node.name):
+                    continue
+                if overrides(path, top, node):
+                    continue
+                if everywhere[node.name] <= named(node)[node.name]:
+                    where = path.stem if node is top else f"{path.stem}.{top.name}"
+                    uncalled.append(f"{where}.{node.name}")
+    assert uncalled == []
